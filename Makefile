@@ -24,6 +24,7 @@
 #   make smoke-wal      - ~2s crash drill: WAL-backed server SIGKILLed
 #                         mid-round twice, recovered, federation finished,
 #                         final model bit-identical (in ci)
+#   make test-mem       - the quant/fldist tests under a memory budget (in ci)
 #   make check-docs     - fail on dead relative links in README/docs
 #   make lint    - fplint: the repo's own analyzers (atomicfield, lockorder,
 #                  determinism, sentinelerr, poolleak) over the whole module
@@ -31,7 +32,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test test-race fuzz check-docs smoke-serve smoke-edge smoke-pull smoke-wal ci bench bench-parallel bench-conv bench-json bench-wire bench-serve cover clean
+.PHONY: all build vet lint test test-race test-mem fuzz check-docs smoke-serve smoke-edge smoke-pull smoke-wal ci bench bench-parallel bench-conv bench-json bench-wire bench-serve cover clean
 
 all: ci
 
@@ -61,6 +62,14 @@ test:
 # streaming codec) under the race detector.
 test-race:
 	$(GO) test -race ./internal/tensor/... ./internal/nn/... ./internal/fl/... ./internal/fldist/... ./internal/quant/...
+
+# The codec and transport tests under a memory budget: a 4 GiB address-space
+# cap (ulimit -v, room enough for the toolchain) plus a 1 GiB soft heap limit.
+# A length, count or chunk read from untrusted bytes that sizes an allocation
+# then fails here on every host, not only where the kernel happens to refuse
+# the reservation.
+test-mem:
+	ulimit -v 4194304 && GOMEMLIMIT=1GiB $(GO) test -count=1 ./internal/quant ./internal/fldist
 
 # The wire-codec fuzz target: the checked-in seed corpus (raw, dense, sparse
 # and corrupted frames) plus a short live-fuzz pass, so adversarial frames
@@ -104,7 +113,7 @@ smoke-wal:
 
 # lint runs right after vet: invariant violations fail the build before the
 # minutes-long test/race/smoke stages spend their time.
-ci: build vet lint test test-race fuzz check-docs smoke-serve smoke-edge smoke-pull smoke-wal
+ci: build vet lint test test-race test-mem fuzz check-docs smoke-serve smoke-edge smoke-pull smoke-wal
 
 bench:
 	$(GO) test -bench=. -benchmem -benchtime=1x .

@@ -7,11 +7,8 @@ package main
 // 2-tier topology over real HTTP commits bit-identically to the flat fleet.
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"fmt"
-	"io"
 	"log"
 	"net"
 	"net/http"
@@ -167,44 +164,11 @@ func gridClientDelta(n, id int) []float64 {
 	return out
 }
 
-func pullRawGob(hc *http.Client, url string) (*fldist.ModelBlob, error) {
-	resp, err := hc.Get(url + "/model")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("pull: %s", resp.Status)
-	}
-	var blob fldist.ModelBlob
-	if err := gob.NewDecoder(resp.Body).Decode(&blob); err != nil {
-		return nil, err
-	}
-	return &blob, nil
-}
-
-func pushRawGob(hc *http.Client, url string, u fldist.Update) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(u); err != nil {
-		return err
-	}
-	resp, err := hc.Post(url+"/update", "application/octet-stream", bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		return err
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("push: %s", resp.Status)
-	}
-	return nil
-}
-
 // gridCohort pushes one exact update per client id at the target's current
 // round, weight 1.
 func gridCohort(hc *http.Client, url string, nParams int, ids []int) error {
 	for _, id := range ids {
-		blob, err := pullRawGob(hc, url)
+		blob, err := fldist.PullModel(context.Background(), hc, url)
 		if err != nil {
 			return fmt.Errorf("client %d: %w", id, err)
 		}
@@ -213,7 +177,7 @@ func gridCohort(hc *http.Client, url string, nParams int, ids []int) error {
 		for i := range params {
 			params[i] = blob.Params[i] + delta[i]
 		}
-		if err := pushRawGob(hc, url, fldist.Update{
+		if _, err := fldist.PushUpdate(context.Background(), hc, url, fldist.Update{
 			ClientID: id, Round: blob.Round, Weight: 1, Params: params,
 		}); err != nil {
 			return fmt.Errorf("client %d: %w", id, err)

@@ -191,7 +191,7 @@ func runSmokeWAL() {
 	id := 0
 	pushN := func(url string, n int) {
 		for i := 0; i < n; i++ {
-			blob, err := pullRawGob(hc, url)
+			blob, err := fldist.PullModel(context.Background(), hc, url)
 			if err != nil {
 				log.Fatalf("benchserve: smoke-wal pull: %v", err)
 			}
@@ -200,7 +200,7 @@ func runSmokeWAL() {
 			for j := range params {
 				params[j] = blob.Params[j] + delta[j]
 			}
-			if err := pushRawGob(hc, url, fldist.Update{
+			if _, err := fldist.PushUpdate(context.Background(), hc, url, fldist.Update{
 				ClientID: id, Round: blob.Round, Weight: 1, Params: params,
 			}); err != nil {
 				log.Fatalf("benchserve: smoke-wal push %d: %v", id, err)
@@ -229,7 +229,7 @@ func runSmokeWAL() {
 		log.Fatalf("benchserve: smoke-wal FAIL: recovered child at round %d, want 2", round)
 	}
 	pushN(url, 2*walSmokeK-2)
-	blob, err := pullRawGob(hc, url)
+	blob, err := fldist.PullModel(context.Background(), hc, url)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -185,7 +185,7 @@ func main() {
 }
 
 // runSetting federates one warmup round plus `rounds` measured synchronous
-// rounds over real HTTP at one codec setting (comp == nil is raw gob) and
+// rounds over real HTTP at one codec setting (comp == nil is raw frames) and
 // returns the steady-state traffic and latency — counters diffed across the
 // measured phase only, so one-time costs (delta cold pulls) stay out of the
 // per-round figures.

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -51,12 +50,14 @@ type Client struct {
 	// Compression, when non-nil, requests the compressed delta wire
 	// protocol: Pull asks for a chunk-quantized global model and Push sends
 	// quantized deltas against the pulled base with error feedback. If the
-	// server does not echo the codec negotiation header, the client falls
-	// back to the raw gob protocol transparently.
+	// server does not echo the codec negotiation header, the client pushes
+	// raw frames instead, transparently.
 	Compression *Compression
 
 	// negotiated reports whether the last Pull established the compressed
-	// protocol with the server.
+	// protocol with the server: it follows the codec echo header, not the
+	// body's content type (a delta chain's cold pull is raw frames too, but
+	// echoed).
 	negotiated bool
 	// baseParams/baseBN are the exact (dequantized) global values the last
 	// compressed Pull delivered — the base the next Push's delta is taken
@@ -95,139 +96,59 @@ type Client struct {
 // It returns the server round the blob belongs to. Canceling ctx aborts the
 // request. With Compression set, Pull negotiates the compressed protocol:
 // it requests a chunk-quantized model, remembers the exact dequantized base
-// for the next Push's delta, and falls back to the raw gob protocol if the
+// for the next Push's delta, and falls back to raw-frame pushes if the
 // server does not acknowledge the codec.
 func (c *Client) Pull(ctx context.Context) (int, error) {
 	var comp Compression
+	codec := ""
 	if c.Compression != nil {
 		var err error
 		if comp, err = c.Compression.normalize(); err != nil {
 			return 0, err
 		}
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/model", nil)
-	if err != nil {
-		return 0, fmt.Errorf("fldist: pull: %w", err)
-	}
-	if c.Compression != nil {
-		v := codecValue(comp)
+		codec = codecValue(comp)
 		if comp.Delta && c.hasChain {
 			// Declare the chain round we hold so the server can answer with
 			// just the delta frames from there to the head.
-			v += ";base=" + strconv.Itoa(c.heldRound)
+			codec += ";base=" + strconv.Itoa(c.heldRound)
 		}
-		req.Header.Set(codecHeader, v)
 	}
-	resp, err := c.HTTP.Do(req)
+	resp, err := getModel(ctx, c.HTTP, c.BaseURL, codec)
 	if err != nil {
 		return 0, fmt.Errorf("fldist: pull: %w", err)
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(resp.Body)
-		return 0, fmt.Errorf("fldist: pull: %s: %s", resp.Status, body)
-	}
-	switch resp.Header.Get("Content-Type") {
+	var round int
+	switch ct := resp.Header.Get("Content-Type"); ct {
 	case contentTypeModel:
-		round, err := c.streamModelEnvelope(resp.Body)
-		if err != nil {
-			return 0, fmt.Errorf("fldist: pull: %w", err)
-		}
-		if comp.Delta {
+		// The base buffers are reused across rounds — a steady-state client
+		// pulls with O(chunk) transient allocation — and overwritten in
+		// place, so a pull that fails mid-stream leaves them torn. Dropping
+		// negotiated and hasChain first (restored only on full success)
+		// makes that harmless: the next push takes the raw path, which
+		// carries exact parameters and needs no base.
+		c.negotiated, c.hasChain = false, false
+		round, c.baseParams, c.baseBN, err = decodeModelEnvelope(resp.Body, c.baseParams, c.baseBN,
+			nn.NumParams(c.Model), nn.NumBNStats(c.Model))
+		if err == nil {
+			c.negotiated = c.Compression != nil && resp.Header.Get(codecHeader) != ""
 			// A cold delta-mode pull lands exactly on the chain head; later
 			// pulls catch up from here.
-			c.hasChain = true
+			c.hasChain = comp.Delta && c.negotiated
 			c.heldRound = round
 		}
-		nn.ImportParams(c.Model, c.baseParams)
-		if len(c.baseBN) > 0 {
-			nn.ImportBNStats(c.Model, c.baseBN)
-		}
-		return round, nil
 	case contentTypeModelDelta:
-		round, err := c.streamDeltaEnvelope(resp.Body)
-		if err != nil {
-			return 0, fmt.Errorf("fldist: pull: %w", err)
-		}
-		nn.ImportParams(c.Model, c.baseParams)
-		if len(c.baseBN) > 0 {
-			nn.ImportBNStats(c.Model, c.baseBN)
-		}
-		return round, nil
+		round, err = c.streamDeltaEnvelope(resp.Body)
+	default:
+		err = fmt.Errorf("unexpected content type %q", ct)
 	}
-	var blob ModelBlob
-	if err := gob.NewDecoder(resp.Body).Decode(&blob); err != nil {
-		return 0, fmt.Errorf("fldist: decoding model: %w", err)
-	}
-	if err := c.checkModelShape(len(blob.Params), len(blob.BN)); err != nil {
-		return 0, err
-	}
-	c.negotiated = false
-	c.hasChain = false
-	nn.ImportParams(c.Model, blob.Params)
-	if len(blob.BN) > 0 {
-		nn.ImportBNStats(c.Model, blob.BN)
-	}
-	return blob.Round, nil
-}
-
-// streamModelEnvelope decodes a compressed pull body incrementally: the
-// 9-byte envelope header, then the params and BN frames chunk-by-chunk into
-// c.baseParams / c.baseBN — which are reused across rounds, so a
-// steady-state client pulls with O(chunk) transient allocation instead of
-// buffering the wire body and materializing fresh vectors every round.
-func (c *Client) streamModelEnvelope(body io.Reader) (int, error) {
-	// The reused base buffers are overwritten in place below, so a pull that
-	// fails mid-stream leaves them half-old/half-new. Dropping `negotiated`
-	// up front (restored only on full success) makes that state harmless: a
-	// caller that pushes after a failed pull takes the raw path, which
-	// carries exact parameters and needs no base.
-	c.negotiated = false
-	var hdr [9]byte
-	if _, err := io.ReadFull(body, hdr[:]); err != nil {
-		return 0, fmt.Errorf("model envelope header: %w", err)
-	}
-	if string(hdr[:4]) != modelMagic {
-		return 0, fmt.Errorf("model envelope magic %q", hdr[:4])
-	}
-	if hdr[4] != envVersion {
-		return 0, fmt.Errorf("model envelope version %d, want %d", hdr[4], envVersion)
-	}
-	round := int(binary.LittleEndian.Uint32(hdr[5:9]))
-	pd, err := quant.NewStreamDecoder(body)
 	if err != nil {
-		return 0, fmt.Errorf("model params frame: %w", err)
+		return 0, fmt.Errorf("fldist: pull: %w", err)
 	}
-	// Shape-check before decoding so a server seeded with a different
-	// architecture is an error, not a corrupted local replica.
-	wantP := nn.NumParams(c.Model)
-	wantB := nn.NumBNStats(c.Model)
-	if pd.Len() != wantP {
-		return 0, fmt.Errorf("server model has %d params, local replica has %d", pd.Len(), wantP)
+	nn.ImportParams(c.Model, c.baseParams)
+	if len(c.baseBN) > 0 {
+		nn.ImportBNStats(c.Model, c.baseBN)
 	}
-	c.baseParams = resize(c.baseParams, pd.Len())
-	if err := pd.DecodeAll(c.baseParams); err != nil {
-		return 0, fmt.Errorf("model params frame: %w", err)
-	}
-	bd, err := quant.NewStreamDecoder(body)
-	if err != nil {
-		return 0, fmt.Errorf("model bn frame: %w", err)
-	}
-	if bd.Len() != wantB {
-		return 0, fmt.Errorf("server model has %d bn stats, local replica has %d", bd.Len(), wantB)
-	}
-	c.baseBN = resize(c.baseBN, bd.Len())
-	if err := bd.DecodeAll(c.baseBN); err != nil {
-		return 0, fmt.Errorf("model bn frame: %w", err)
-	}
-	// io.ReadFull distinguishes "no byte left" (0, io.EOF) from a reader
-	// that returns data alongside io.EOF or (0, nil) — a bare Read would
-	// miss trailing garbage on the former and spuriously fail on the latter.
-	var one [1]byte
-	if _, err := io.ReadFull(body, one[:]); err != io.EOF {
-		return 0, fmt.Errorf("model envelope has trailing bytes")
-	}
-	c.negotiated = true
 	return round, nil
 }
 
@@ -241,7 +162,7 @@ func (c *Client) streamModelEnvelope(body io.Reader) (int, error) {
 // what lets the next push's delta resolve against the server-side base
 // registry exactly.
 func (c *Client) streamDeltaEnvelope(body io.Reader) (int, error) {
-	// As in streamModelEnvelope, the in-place mutation of the base buffers
+	// As with a model envelope, the in-place mutation of the base buffers
 	// makes a mid-stream failure leave them torn: dropping negotiated AND
 	// hasChain up front (both restored only on full success) forces the next
 	// pull cold, which rewrites the base whole.
@@ -333,28 +254,6 @@ func applyDeltaFrame(body io.Reader, dst []float64, want int) (err error) {
 	return nil
 }
 
-// resize returns v with exactly length n, reusing its backing array when it
-// is already big enough.
-func resize(v []float64, n int) []float64 {
-	if cap(v) >= n {
-		return v[:n]
-	}
-	return make([]float64, n)
-}
-
-// checkModelShape rejects a pulled model whose vector lengths do not match
-// the local replica — a server seeded with a different architecture — as an
-// error instead of letting nn.ImportParams panic the client process.
-func (c *Client) checkModelShape(nParams, nBN int) error {
-	wantP := nn.NumParams(c.Model)
-	wantB := nn.NumBNStats(c.Model)
-	if nParams != wantP || nBN != wantB {
-		return fmt.Errorf("fldist: pull: server model shape %d params + %d bn stats, local replica has %d + %d",
-			nParams, nBN, wantP, wantB)
-	}
-	return nil
-}
-
 // TrainLocal runs the configured number of local (adversarial) SGD
 // iterations on the local subset, mirroring the in-process trainers.
 func (c *Client) TrainLocal(lr float64) float64 {
@@ -405,18 +304,17 @@ func (c *Client) Push(ctx context.Context, round int) (counted bool, err error) 
 	if c.Compression != nil && c.negotiated {
 		return c.pushDelta(ctx, round)
 	}
-	u := Update{
+	body, err := encodeRawUpdate(Update{
 		ClientID: c.ID,
 		Round:    round,
 		Weight:   float64(c.Subset.Len()),
 		Params:   nn.ExportParams(c.Model),
 		BN:       nn.ExportBNStats(c.Model),
+	})
+	if err != nil {
+		return false, err
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(u); err != nil {
-		return false, fmt.Errorf("fldist: encoding update: %w", err)
-	}
-	return c.postUpdate(ctx, contentTypeGob, "", buf.Bytes())
+	return c.postUpdate(ctx, "", body)
 }
 
 // pushDelta sends the compressed update: the quantized difference between
@@ -496,7 +394,7 @@ func (c *Client) pushDelta(ctx context.Context, round int) (counted bool, err er
 	if comp.Delta {
 		codec = codecValue(comp)
 	}
-	counted, err = c.postUpdate(ctx, contentTypeDelta, codec, body)
+	counted, err = c.postUpdate(ctx, codec, body)
 	if err == nil && c.residualRound != round+1 {
 		// 200 (counted, or duplicate of an already-counted push of this
 		// same delta whose response was lost): the quantized delta is part
@@ -533,46 +431,116 @@ func deltaQuantize(params, base, residual []float64, comp Compression) (quant.Ch
 	return q, d
 }
 
-// postUpdate POSTs one update body and maps the server's verdict to the
-// (counted, err) contract shared by both wire protocols. A 409 carrying the
-// retry marker is a transient server-side stall (a buffered commit still
-// publishing), not a staleness verdict — the identical body is re-sent a
-// few times before the push is given up as stale, so a fresh training pass
-// is not discarded over a slow commit.
-func (c *Client) postUpdate(ctx context.Context, contentType, codec string, body []byte) (bool, error) {
+// postUpdate POSTs one update body under the (counted, err) contract of
+// Push. A 409 carrying the retry marker is a transient server-side stall (a
+// buffered commit still publishing), not a staleness verdict — the identical
+// body is re-sent a few times before the push is given up as stale, so a
+// fresh training pass is not discarded over a slow commit.
+func (c *Client) postUpdate(ctx context.Context, codec string, body []byte) (bool, error) {
 	const retries = 3
 	for attempt := 0; ; attempt++ {
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/update",
-			bytes.NewReader(body))
-		if err != nil {
-			return false, fmt.Errorf("fldist: push: %w", err)
-		}
-		req.Header.Set("Content-Type", contentType)
-		if codec != "" {
-			req.Header.Set(codecHeader, codec)
-		}
-		resp, err := c.HTTP.Do(req)
-		if err != nil {
-			return false, fmt.Errorf("fldist: push: %w", err)
-		}
-		switch resp.StatusCode {
-		case http.StatusOK:
-			counted := resp.Header.Get("X-Fldist-Duplicate") == ""
-			resp.Body.Close()
-			return counted, nil
-		case http.StatusConflict:
-			retry := resp.Header.Get(retryHeader) != ""
-			resp.Body.Close()
-			if retry && attempt < retries {
+		counted, err := postUpdate(ctx, c.HTTP, c.BaseURL, codec, body)
+		if errors.Is(err, errPushRetry) {
+			if attempt < retries {
 				continue
 			}
 			return false, ErrStaleRound
-		default:
-			b, _ := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			return false, fmt.Errorf("fldist: push: %s: %s", resp.Status, b)
 		}
+		return counted, err
 	}
+}
+
+// errPushRetry reports a retry-marked 409: the server could not admit the
+// push yet (a buffered commit still publishing, or a full tier buffer), and
+// the identical body may be re-sent.
+var errPushRetry = errors.New("fldist: push: server asked for a retry")
+
+// getModel issues GET /model with the given codec negotiation value ("" for
+// none) and returns the 200 response; any other status is an error carrying
+// the body.
+func getModel(ctx context.Context, hc *http.Client, baseURL, codec string) (*http.Response, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+"/model", nil)
+	if err != nil {
+		return nil, err
+	}
+	if codec != "" {
+		req.Header.Set(codecHeader, codec)
+	}
+	resp, err := hc.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		return nil, fmt.Errorf("%s: %s", resp.Status, body)
+	}
+	return resp, nil
+}
+
+// postUpdate POSTs one FPU1 body to baseURL's /update and maps the verdict,
+// for clients and edges alike: (true, nil) for a counted 200; (false, nil)
+// for a duplicate 200 (an earlier copy of this push already counted);
+// ErrStaleRound for a staleness 409; errPushRetry for a retry-marked 409;
+// any other status or a transport failure as a plain error. codec, when
+// non-empty, is repeated as the negotiation header (delta-downlink pushes).
+func postUpdate(ctx context.Context, hc *http.Client, baseURL, codec string, body []byte) (bool, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, baseURL+"/update", bytes.NewReader(body))
+	if err != nil {
+		return false, fmt.Errorf("fldist: push: %w", err)
+	}
+	req.Header.Set("Content-Type", contentTypeDelta)
+	if codec != "" {
+		req.Header.Set(codecHeader, codec)
+	}
+	resp, err := hc.Do(req)
+	if err != nil {
+		return false, fmt.Errorf("fldist: push: %w", err)
+	}
+	defer resp.Body.Close()
+	switch resp.StatusCode {
+	case http.StatusOK:
+		return resp.Header.Get("X-Fldist-Duplicate") == "", nil
+	case http.StatusConflict:
+		if resp.Header.Get(retryHeader) != "" {
+			return false, errPushRetry
+		}
+		return false, ErrStaleRound
+	default:
+		b, _ := io.ReadAll(resp.Body)
+		return false, fmt.Errorf("fldist: push: %s: %s", resp.Status, b)
+	}
+}
+
+// PullModel fetches the global model from the server (or edge) at baseURL in
+// the raw form: an FPM1 envelope of exact float64 frames. It is the pull an
+// edge makes upstream and the one tools make to read a server's exact state;
+// the frames are read block by block, so memory follows the bytes received.
+func PullModel(ctx context.Context, hc *http.Client, baseURL string) (*ModelBlob, error) {
+	resp, err := getModel(ctx, hc, baseURL, "")
+	if err != nil {
+		return nil, fmt.Errorf("fldist: pull: %w", err)
+	}
+	defer resp.Body.Close()
+	round, p, bn, err := decodeModelEnvelope(resp.Body, nil, nil, -1, -1)
+	if err != nil {
+		return nil, fmt.Errorf("fldist: pull: %w", err)
+	}
+	return &ModelBlob{Round: round, Params: p, BN: bn}, nil
+}
+
+// PushUpdate posts u as a raw-frame FPU1 envelope (absolute values) to the
+// server at baseURL. counted is false when the server had already counted
+// this (client, round) and dropped the copy as a duplicate. A staleness 409
+// satisfies errors.Is(err, ErrStaleRound); any other error — a retry-marked
+// 409 (a commit still publishing) or a transport failure — may be retried
+// with the identical update.
+func PushUpdate(ctx context.Context, hc *http.Client, baseURL string, u Update) (counted bool, err error) {
+	body, err := encodeRawUpdate(u)
+	if err != nil {
+		return false, err
+	}
+	return postUpdate(ctx, hc, baseURL, "", body)
 }
 
 // ErrStaleRound signals that the server moved on before this client's

@@ -8,13 +8,14 @@ package fldist
 //     admits cohort pushes with the very same shard fold, staleness window,
 //     dedup horizon and 1/(1+s) down-weighting as the root — edge.go adds no
 //     second aggregation algorithm.
-//   - To its upstream it is an ordinary client. Each flush pre-folds the
+//   - To its upstream it is an ordinary raw client. Each flush pre-folds the
 //     buffered cohort updates into ONE combined update — weight = the sum of
 //     the cohort's effective weights, base round = the upstream round the
-//     edge last adopted — and pushes it as a plain raw wire update
-//     (docs/WIRE.md is unchanged; the root cannot tell an edge from a big
+//     edge last adopted — and pushes it through the client's own raw-frame
+//     path (PushUpdate: an FPU1 envelope of exact float64 frames; docs/WIRE.md
+//     has no tier-specific form). The root cannot tell an edge from a big
 //     client, and its staleness down-weighting of an old base round applies
-//     to tier deltas for free).
+//     to tier deltas for free.
 //
 // The pre-fold IS the embedded server's buffered commit, run in manual mode:
 // cohort admissions never auto-commit; the edge's single flusher goroutine
@@ -36,13 +37,10 @@ package fldist
 // of N.
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log"
 	"net"
 	"net/http"
@@ -601,7 +599,9 @@ func (e *Edge) pushBatchLocked(ctx context.Context, resync bool) error {
 		if ctx.Err() != nil {
 			return ctx.Err()
 		}
-		err := e.pushUpstream(ctx, Update{
+		// A duplicate 200 means an earlier retry of this same push already
+		// counted — equally done.
+		_, err := PushUpdate(ctx, e.hc, e.upstream, Update{
 			ClientID: u.pushID,
 			Round:    u.baseRound,
 			Weight:   u.batch.weight,
@@ -650,10 +650,11 @@ func (e *Edge) pushBatchLocked(ctx context.Context, resync bool) error {
 			e.persistUnpushedLocked()
 			e.upRebased.Add(1)
 		default:
-			// Transport failure or upstream commit stall: the upstream is
-			// unreachable or busy. Retry forever (bounded only by ctx) —
-			// meanwhile the embedded server keeps admitting cohort pushes
-			// and serving cached pulls; nothing downstream notices.
+			// Transport failure or a retry-marked 409 (upstream commit
+			// stall): the upstream is unreachable or busy. Retry forever
+			// (bounded only by ctx) — meanwhile the embedded server keeps
+			// admitting cohort pushes and serving cached pulls; nothing
+			// downstream notices.
 			e.upRetries.Add(1)
 			if !sleepCtx(ctx, jitterDur(backoff)) {
 				return ctx.Err()
@@ -727,26 +728,14 @@ func (e *Edge) pullUpstreamRetry(ctx context.Context) (*ModelBlob, error) {
 	}
 }
 
-// pullUpstream fetches the upstream model over the raw protocol. The edge
-// always pulls raw: its base must be the upstream's exact float64 state for
-// the tier algebra to be exact; cohort links are where compression pays.
+// pullUpstream fetches the upstream model over the raw protocol (PullModel).
+// The edge always pulls raw: its base must be the upstream's exact float64
+// state for the tier algebra to be exact; cohort links are where compression
+// pays.
 func (e *Edge) pullUpstream(ctx context.Context) (*ModelBlob, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, e.upstream+"/model", nil)
+	blob, err := PullModel(ctx, e.hc, e.upstream)
 	if err != nil {
-		return nil, fmt.Errorf("fldist: edge pull: %w", err)
-	}
-	resp, err := e.hc.Do(req)
-	if err != nil {
-		return nil, fmt.Errorf("fldist: edge pull: %w", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(resp.Body)
-		return nil, fmt.Errorf("fldist: edge pull: %s: %s", resp.Status, body)
-	}
-	var blob ModelBlob
-	if err := gob.NewDecoder(resp.Body).Decode(&blob); err != nil {
-		return nil, fmt.Errorf("fldist: edge pull: decoding model: %w", err)
+		return nil, err
 	}
 	if e.inner != nil {
 		snap := e.inner.model.Load()
@@ -754,42 +743,7 @@ func (e *Edge) pullUpstream(ctx context.Context) (*ModelBlob, error) {
 			return nil, fmt.Errorf("fldist: edge pull: upstream model shape changed")
 		}
 	}
-	return &blob, nil
-}
-
-// pushUpstream POSTs one raw update and maps the verdict: nil on 200 (a
-// duplicate 200 means an earlier retry of this same push already counted —
-// equally done), ErrStaleRound on a staleness 409, and a plain error on a
-// retry-marked 409 (upstream commit stall) or any transport failure, both of
-// which the caller retries with the identical body.
-func (e *Edge) pushUpstream(ctx context.Context, u Update) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(u); err != nil {
-		return fmt.Errorf("fldist: edge push: encoding: %w", err)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, e.upstream+"/update",
-		bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		return fmt.Errorf("fldist: edge push: %w", err)
-	}
-	req.Header.Set("Content-Type", contentTypeGob)
-	resp, err := e.hc.Do(req)
-	if err != nil {
-		return fmt.Errorf("fldist: edge push: %w", err)
-	}
-	defer resp.Body.Close()
-	switch resp.StatusCode {
-	case http.StatusOK:
-		return nil
-	case http.StatusConflict:
-		if resp.Header.Get(retryHeader) != "" {
-			return fmt.Errorf("fldist: edge push: upstream commit in flight")
-		}
-		return ErrStaleRound
-	default:
-		body, _ := io.ReadAll(resp.Body)
-		return fmt.Errorf("fldist: edge push: %s: %s", resp.Status, body)
-	}
+	return blob, nil
 }
 
 // ListenAndServe runs the edge on addr until ctx is canceled, then shuts the

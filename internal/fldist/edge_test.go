@@ -3,7 +3,6 @@ package fldist
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
 	"encoding/json"
 	"math/rand"
 	"net"
@@ -59,36 +58,34 @@ func addVecs(a, b []float64) []float64 {
 	return out
 }
 
-// pushRawT pushes a raw gob update and returns the HTTP status.
+// pushRawT pushes a raw-frame update and returns the HTTP status.
 func pushRawT(t *testing.T, hc *http.Client, baseURL string, id, round int, weight float64, params, bn []float64) int {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(Update{
-		ClientID: id, Round: round, Weight: weight, Params: params, BN: bn,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := hc.Post(baseURL+"/update", contentTypeGob, bytes.NewReader(buf.Bytes()))
+	resp := postRawT(t, hc, baseURL, Update{ClientID: id, Round: round, Weight: weight, Params: params, BN: bn})
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// postRawT posts u as a raw-frame FPU1 envelope (the raw client's encoder)
+// and returns the response, body unread.
+func postRawT(t *testing.T, hc *http.Client, baseURL string, u Update) *http.Response {
+	t.Helper()
+	body, err := encodeRawUpdate(u)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	return resp.StatusCode
+	resp, err := hc.Post(baseURL+"/update", contentTypeDelta, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp
 }
 
 // pullRawT pulls the raw model from any aggregator (root or edge).
 func pullRawT(t *testing.T, hc *http.Client, baseURL string) (int, []float64, []float64) {
 	t.Helper()
-	resp, err := hc.Get(baseURL + "/model")
+	blob, err := PullModel(context.Background(), hc, baseURL)
 	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("pull: %s", resp.Status)
-	}
-	var blob ModelBlob
-	if err := gob.NewDecoder(resp.Body).Decode(&blob); err != nil {
 		t.Fatal(err)
 	}
 	return blob.Round, blob.Params, blob.BN
@@ -764,18 +761,11 @@ func TestEdgeAdmissionCappedWhileUpstreamDown(t *testing.T) {
 			t.Fatalf("cohort client %d within the cap: status %d", id, st)
 		}
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(Update{
+	resp := postRawT(t, ts.Client(), edgeURL, Update{
 		ClientID: 10, Round: round, Weight: 1,
 		Params: addVecs(base, gridDelta(nParams, 10)),
 		BN:     addVecs(baseBN, gridDelta(nBN, 10)),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := ts.Client().Post(edgeURL+"/update", contentTypeGob, bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
+	})
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusConflict || resp.Header.Get(retryHeader) == "" {
 		t.Fatalf("push beyond the cap: status %d, retry header %q; want retryable 409",

@@ -3,9 +3,10 @@ package fldist
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
+	"io"
+	"math"
 	"math/rand"
 	"net"
 	"net/http"
@@ -18,6 +19,7 @@ import (
 	"fedprophet/internal/data"
 	"fedprophet/internal/fl"
 	"fedprophet/internal/nn"
+	"fedprophet/internal/quant"
 )
 
 func testSetup(t *testing.T, clients int, seed int64) (*data.Dataset, *data.Dataset, []*data.Subset, func() *nn.Model) {
@@ -70,6 +72,27 @@ func TestServerModelRoundTrip(t *testing.T) {
 			t.Fatal("pulled model differs from the server's global")
 		}
 	}
+
+	// The raw pull body is exactly what the delta chain's cold-body builder
+	// emits for the same round and vectors: one raw envelope encoder.
+	resp, err := ts.Client().Get(ts.URL + "/model")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch := &deltaChain{entries: []deltaEntry{{round: 0, baseP: a, baseBN: nn.ExportBNStats(m)}}}
+	cold, _ := ch.coldLocked()
+	if resp.Header.Get("Content-Type") != contentTypeModel || resp.Header.Get(codecHeader) != "" {
+		t.Fatalf("raw pull headers: content type %q, codec echo %q",
+			resp.Header.Get("Content-Type"), resp.Header.Get(codecHeader))
+	}
+	if !bytes.Equal(body, cold) {
+		t.Fatalf("raw pull body (%d B) differs from the cold-body builder's (%d B)", len(body), len(cold))
+	}
 }
 
 func TestPushAggregatesAndAdvancesRound(t *testing.T) {
@@ -109,13 +132,60 @@ func TestPushAggregatesAndAdvancesRound(t *testing.T) {
 	p0 := nn.ExportParams(c0.Model)
 	p1 := nn.ExportParams(c1.Model)
 	w0, w1 := float64(subs[0].Len()), float64(subs[1].Len())
-	got, _ := srv.Snapshot()
+	got, gotBN := srv.Snapshot()
 	for i := range got {
 		want := (w0*p0[i] + w1*p1[i]) / (w0 + w1)
 		if diff := got[i] - want; diff > 1e-12 || diff < -1e-12 {
 			t.Fatalf("aggregate[%d] = %v, want %v", i, got[i], want)
 		}
 	}
+
+	// Bit-exact: raw frames hand the fold the clients' exact values, folded
+	// in ascending client ID as Σwᵢxᵢ · (1/W) from a zero accumulator.
+	initP, initBN := nn.ExportParams(m), nn.ExportBNStats(m)
+	b0, b1 := nn.ExportBNStats(c0.Model), nn.ExportBNStats(c1.Model)
+	checkBits := func(mode string, got, gotBN []float64, fold func(x0, x1, base []float64, i int) float64) {
+		t.Helper()
+		for i := range got {
+			if want := fold(p0, p1, initP, i); math.Float64bits(got[i]) != math.Float64bits(want) {
+				t.Fatalf("%s: params[%d] = %v, want bit-exact %v", mode, i, got[i], want)
+			}
+		}
+		for i := range gotBN {
+			if want := fold(b0, b1, initBN, i); math.Float64bits(gotBN[i]) != math.Float64bits(want) {
+				t.Fatalf("%s: bn[%d] = %v, want bit-exact %v", mode, i, gotBN[i], want)
+			}
+		}
+	}
+	checkBits("sync", got, gotBN, func(x0, x1, _ []float64, i int) float64 {
+		acc := 0.0
+		acc += w0 * x0[i]
+		acc += w1 * x1[i]
+		return acc * (1 / (w0 + w1))
+	})
+
+	// Buffered mode folds the same raw pushes as deltas against the base
+	// round's snapshot, b + Σwᵢ(xᵢ−b) · (1/W), again in ascending ID order —
+	// whatever order they arrive in.
+	buffered := NewServer(initP, initBN, 1, WithBufferedAggregation(2, 0))
+	bts := httptest.NewServer(buffered.Handler())
+	defer bts.Close()
+	for _, c := range []*Client{c1, c0} {
+		c.BaseURL = bts.URL
+		if counted, err := c.Push(context.Background(), 0); err != nil || !counted {
+			t.Fatalf("buffered push: counted=%v err=%v", counted, err)
+		}
+	}
+	if buffered.Round() != 1 {
+		t.Fatalf("buffered round = %d after K pushes, want 1", buffered.Round())
+	}
+	bufP, bufBN := buffered.Snapshot()
+	checkBits("buffered", bufP, bufBN, func(x0, x1, base []float64, i int) float64 {
+		acc := 0.0
+		acc += w0 * (x0[i] - base[i])
+		acc += w1 * (x1[i] - base[i])
+		return base[i] + acc*(1/(w0+w1))
+	})
 }
 
 func TestStaleRoundRejected(t *testing.T) {
@@ -192,29 +262,68 @@ func TestRoundParsingRejectsGarbage(t *testing.T) {
 func TestMalformedAndWrongShapeUpdates(t *testing.T) {
 	_, _, _, build := testSetup(t, 2, 7)
 	m := build()
-	srv := NewServer(nn.ExportParams(m), nn.ExportBNStats(m), 1)
+	params, bn := nn.ExportParams(m), nn.ExportBNStats(m)
+	if len(bn) == 0 {
+		t.Fatal("test model has no BN statistics; the BN cases need some")
+	}
+	srv := NewServer(params, bn, 1)
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	resp, err := ts.Client().Post(ts.URL+"/update", "application/octet-stream",
-		bytes.NewReader([]byte("garbage")))
+	raw := func(p, b []float64) []byte {
+		body, err := encodeRawUpdate(Update{Round: 0, Weight: 1, Params: p, BN: b})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return body
+	}
+	with := func(v []float64, i int, x float64) []float64 {
+		out := append([]float64(nil), v...)
+		out[i] = x
+		return out
+	}
+	good := raw(params, bn)
+	quantBN, err := encodeUpdateEnvelope(0, 0, 1, quant.EncodeRaw(params),
+		quant.Encode(quant.QuantizeChunks(bn, 8, 64)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		body []byte
+	}{
+		{"garbage", []byte("garbage")},
+		{"params length mismatch", raw([]float64{1, 2}, bn)},
+		{"bn length mismatch", raw(params, bn[:len(bn)-1])},
+		{"non-finite param", raw(with(params, 3, math.NaN()), bn)},
+		{"non-finite bn", raw(params, with(bn, 0, math.Inf(-1)))},
+		{"raw params with a quantized bn frame", quantBN},
+		{"truncated frame", good[:len(good)-5]},
+		{"trailing bytes", append(append([]byte(nil), good...), 0)},
+	}
+	for _, tc := range cases {
+		resp, err := ts.Client().Post(ts.URL+"/update", contentTypeDelta, bytes.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400", tc.name, resp.StatusCode)
+		}
+		if st := srv.Stats(); st.UpdatesRaw != 0 || st.RoundsCompleted != 0 {
+			t.Fatalf("%s admitted something: updates_raw %d, rounds %d", tc.name, st.UpdatesRaw, st.RoundsCompleted)
+		}
+	}
+	// The well-formed body the hostile ones were cut from is admitted, so
+	// each 400 above is the server policing that one defect.
+	resp, err := ts.Client().Post(ts.URL+"/update", contentTypeDelta, bytes.NewReader(good))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("garbage update: status %d", resp.StatusCode)
-	}
-
-	var buf bytes.Buffer
-	_ = gob.NewEncoder(&buf).Encode(Update{Round: 0, Weight: 1, Params: []float64{1, 2}})
-	resp2, err := ts.Client().Post(ts.URL+"/update", "application/octet-stream", &buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusBadRequest {
-		t.Fatalf("wrong-shape update: status %d", resp2.StatusCode)
+	if st := srv.Stats(); resp.StatusCode != http.StatusOK || st.UpdatesRaw != 1 || st.RoundsCompleted != 1 {
+		t.Fatalf("well-formed raw push: status %d, updates_raw %d, rounds %d",
+			resp.StatusCode, st.UpdatesRaw, st.RoundsCompleted)
 	}
 }
 

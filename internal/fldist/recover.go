@@ -17,7 +17,8 @@ package fldist
 //
 // Replay is bit-identical to never having crashed, by two arguments:
 //
-// Delta-form admissions (raw-gob pushes) log d = vals−base. The fold consumes
+// Delta-form admissions (raw-frame and delta-downlink pushes) log
+// d = vals−base. The fold consumes
 // each contribution only as weight·(vals−base) per element, so replaying as
 // (d, 0) feeds the identical difference through the identical
 // (baseRound, clientID)-ordered fold.
@@ -34,6 +35,7 @@ package fldist
 // points.
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/binary"
@@ -440,14 +442,15 @@ func serverFromWAL(w *wal, st *walRecovered, opts []ServerOption) (*Server, erro
 	return s, nil
 }
 
-// replayFrameAdmit re-runs the live delta handler's arithmetic on a
-// frame-form admission record: stream-decode the logged wire frames, add the
-// served base the client pulled (rebuilt if the crash took it), and hand back
-// the reconstructed full vectors plus the base they fold against — exactly
-// the (vals, base) pair registerAsync saw before the crash.
+// replayFrameAdmit re-runs the live push handler's arithmetic on a
+// frame-form admission record: stream-decode the logged wire frames onto the
+// served base the client pulled (rebuilt if the crash took it) through the
+// handler's own decodeUpdateFrames, and hand back the reconstructed full
+// vectors plus the base they fold against — exactly the (vals, base) pair
+// registerAsync saw before the crash.
 func (s *Server) replayFrameAdmit(a *walAdmit, commitAt map[int]*walCommit, m walMeta) (*servedModel, *updateBuf, error) {
-	br := bytes.NewReader(a.frames)
-	var pd quant.StreamDecoder
+	br := bufio.NewReader(bytes.NewReader(a.frames))
+	var pd, bd quant.StreamDecoder
 	if err := pd.Reset(br); err != nil {
 		return nil, nil, fmt.Errorf("%w: admit frames (client %d): %v", ErrWAL, a.clientID, err)
 	}
@@ -466,46 +469,9 @@ func (s *Server) replayFrameAdmit(a *walAdmit, commitAt map[int]*walCommit, m wa
 		return nil, nil, err
 	}
 	buf := s.bufPool.Get().(*updateBuf)
-	fail := func(err error) (*servedModel, *updateBuf, error) {
+	if err := decodeUpdateFrames(br, &pd, &bd, sm.params, sm.bn, buf); err != nil {
 		s.bufPool.Put(buf)
-		return nil, nil, err
-	}
-	if pd.IsSparse() {
-		// Mirror the live handler's sparse branch bit-for-bit: copy the
-		// served base whole, then scatter-add the frame's stored values.
-		copy(buf.params, sm.params)
-		if err := pd.ApplySparse(buf.params); err != nil {
-			return fail(fmt.Errorf("%w: admit params frame: %v", ErrWAL, err))
-		}
-	} else {
-		off := 0
-		for l := pd.NextLen(); l > 0; l = pd.NextLen() {
-			dst := buf.params[off : off+l]
-			if err := pd.Next(dst); err != nil {
-				return fail(fmt.Errorf("%w: admit params frame: %v", ErrWAL, err))
-			}
-			base := sm.params[off : off+l]
-			for i := range dst {
-				dst[i] = dst[i] + base[i] // bit-for-bit the live handler's add
-			}
-			off += l
-		}
-	}
-	var bd quant.StreamDecoder
-	if err := bd.Reset(br); err != nil {
-		return fail(fmt.Errorf("%w: admit bn frame: %v", ErrWAL, err))
-	}
-	if bd.Len() != m.nBN {
-		return fail(fmt.Errorf("%w: admit frames carry %d bn values, want %d", ErrWAL, bd.Len(), m.nBN))
-	}
-	if err := bd.DecodeAll(buf.bn); err != nil {
-		return fail(fmt.Errorf("%w: admit bn frame: %v", ErrWAL, err))
-	}
-	for i := range buf.bn {
-		buf.bn[i] = buf.bn[i] + sm.bn[i]
-	}
-	if br.Len() != 0 {
-		return fail(fmt.Errorf("%w: %d trailing bytes after admit frames", ErrWAL, br.Len()))
+		return nil, nil, fmt.Errorf("%w: admit frames (client %d): %v", ErrWAL, a.clientID, err)
 	}
 	return sm, buf, nil
 }

@@ -333,25 +333,15 @@ func (ch *deltaChain) catchUpLocked(baseR int) []byte {
 }
 
 // coldLocked returns (building and caching on first use per chain head) the
-// raw pull body of the chain head: the standard model envelope carrying the
-// head's chain-base vectors — not the exact model — so a cold-pulling client
-// lands precisely on the chain and every later delta applies bit-exactly.
-// Caller holds ch.mu.
+// raw pull body of the chain head: the same raw model envelope a codec-less
+// pull gets (encodeRawModel), carrying the head's chain-base vectors — not
+// the exact model — so a cold-pulling client lands precisely on the chain and
+// every later delta applies bit-exactly. Caller holds ch.mu.
 func (ch *deltaChain) coldLocked() ([]byte, string) {
 	if ch.coldBody == nil {
 		head := &ch.entries[len(ch.entries)-1]
-		pf := quant.EncodeRaw(head.baseP)
-		bf := quant.EncodeRaw(head.baseBN)
-		body := make([]byte, 0, 9+len(pf)+len(bf))
-		body = append(body, modelMagic...)
-		body = append(body, envVersion)
-		var rb [4]byte
-		binary.LittleEndian.PutUint32(rb[:], uint32(head.round))
-		body = append(body, rb[:]...)
-		body = append(body, pf...)
-		body = append(body, bf...)
-		ch.coldBody = body
-		ch.coldCLen = strconv.Itoa(len(body))
+		ch.coldBody = encodeRawModel(head.round, head.baseP, head.baseBN)
+		ch.coldCLen = strconv.Itoa(len(ch.coldBody))
 	}
 	return ch.coldBody, ch.coldCLen
 }
@@ -391,14 +381,14 @@ func (s *Server) handleDeltaModel(w http.ResponseWriter, c Compression, baseR in
 		w.Header().Set("Content-Type", contentTypeModel)
 	}
 	w.Header().Set("Content-Length", clen)
-	n, _ := w.Write(body)
-	s.bytesOutComp.Add(int64(n))
+	// Counted before the write (see writePull), so a client that has the
+	// whole body already sees its pull in /stats.
 	if delta {
 		s.deltaPulls.Add(1)
-		s.bytesOutDelta.Add(int64(n))
+		writePull(w, body, &s.bytesOutComp, &s.bytesOutDelta)
 	} else {
 		s.coldPulls.Add(1)
-		s.bytesOutCold.Add(int64(n))
+		writePull(w, body, &s.bytesOutComp, &s.bytesOutCold)
 	}
 	//lint:ignore determinism latency histogram only; /stats is observability, not state
 	s.pullLat.record(time.Since(start))

@@ -6,18 +6,19 @@
 // downstream user of the library would run on actual edge devices, with the
 // same FedAvg/partial-average semantics.
 //
-// Two wire protocols coexist and are negotiated per client (docs/WIRE.md):
+// Every model-plane body is one of three binary envelopes (docs/WIRE.md) —
+// FPM1 pulls, FPU1 pushes, FPD1 delta-downlink catch-ups — and the frames
+// inside come in two forms, negotiated per client:
 //
-//   - Raw: gob-encoded ModelBlob / Update bodies with full-precision
-//     float64 parameters — the original protocol, kept as the fallback so
-//     old clients interoperate.
-//   - Compressed deltas: the client pulls a chunk-quantized global model
-//     (binary quant frames) and pushes a quantized *delta* against that
-//     pulled base, carrying the quantization residual into its next round's
-//     delta (error feedback) so compression error does not accumulate in
-//     the global model. The server dequantizes, reconstructs base+delta,
-//     and feeds the result into the same weighted average as raw updates —
-//     a mixed fleet aggregates correctly.
+//   - Raw: exact float64 frames. A client that negotiates no codec pulls the
+//     model's exact values and pushes its absolute trained values.
+//   - Compressed deltas: the client pulls a chunk-quantized global model and
+//     pushes a quantized *delta* against that pulled base, carrying the
+//     quantization residual into its next round's delta (error feedback) so
+//     compression error does not accumulate in the global model. The server
+//     dequantizes, reconstructs base+delta, and feeds the result into the
+//     same weighted average as raw updates — a mixed fleet aggregates
+//     correctly.
 //
 // The server aggregates under parameter-range sharding (shard.go): the
 // global model is a copy-on-write snapshot read lock-free by every handler,
@@ -49,10 +50,8 @@ package fldist
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"encoding/binary"
-	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -70,22 +69,6 @@ import (
 
 	"fedprophet/internal/quant"
 )
-
-// ModelBlob is the wire format of the global model state.
-type ModelBlob struct {
-	Round  int
-	Params []float64
-	BN     []float64
-}
-
-// Update is one client's contribution for a round.
-type Update struct {
-	ClientID int
-	Round    int
-	Weight   float64 // FedAvg weight qk (local dataset size)
-	Params   []float64
-	BN       []float64
-}
 
 // Server is a FedAvg parameter server with two aggregation modes:
 //
@@ -464,16 +447,18 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 	comp, baseR, compressed, err := parseCodec(r.Header.Get(codecHeader))
 	if err != nil {
 		// A client that asked for compression we cannot parse must hear
-		// about it rather than silently receive a gob blob it may not
+		// about it rather than silently receive exact values it may not
 		// expect.
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
+	if compressed && comp.Delta {
+		s.handleDeltaModel(w, comp, baseR, start)
+		return
+	}
+	var body []byte
+	var clen string
 	if compressed {
-		if comp.Delta {
-			s.handleDeltaModel(w, comp, baseR, start)
-			return
-		}
 		// serveKey: a topk negotiation without delta shapes only the uplink,
 		// so those clients share the dense variant's served body and base.
 		sm, err := s.getServed(comp.serveKey(), -1)
@@ -481,44 +466,54 @@ func (s *Server) handleModel(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		// The body is an immutable finished byte slice — one Write, no
-		// per-pull encode, no staging buffer. Content-Length lets clients
-		// preallocate, and the counter charges what actually left (a puller
-		// hanging up mid-body must not inflate the wire-saving numbers).
 		w.Header().Set(codecHeader, sm.codec)
-		w.Header().Set("Content-Type", contentTypeModel)
-		w.Header().Set("Content-Length", sm.clen)
-		n, _ := w.Write(sm.body)
-		s.bytesOutComp.Add(int64(n))
-		//lint:ignore determinism latency histogram only; /stats is observability, not state
-		s.pullLat.record(time.Since(start))
-		return
+		body, clen = sm.body, sm.clen
+	} else {
+		// Raw pull: the snapshot's exact values, built lazily once per round
+		// (single-flight) by the same encoder as a delta chain's cold body.
+		body, clen = s.model.Load().rawModel()
 	}
-	// Raw pull: the snapshot's lazily built (once per round, single-flight)
-	// gob body is written straight out — no per-pull encode, no lock.
-	body := s.model.Load().gobBody()
-	w.Header().Set("Content-Type", contentTypeGob)
-	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
-	n, _ := w.Write(body)
-	s.bytesOutRaw.Add(int64(n))
+	// The body is an immutable finished byte slice — one Write, no per-pull
+	// encode, no staging buffer, no lock. Content-Length lets clients
+	// preallocate.
+	w.Header().Set("Content-Type", contentTypeModel)
+	w.Header().Set("Content-Length", clen)
+	if compressed {
+		writePull(w, body, &s.bytesOutComp)
+	} else {
+		writePull(w, body, &s.bytesOutRaw)
+	}
 	//lint:ignore determinism latency histogram only; /stats is observability, not state
 	s.pullLat.record(time.Since(start))
 }
 
-// gobBody returns the snapshot's raw-protocol pull body, gob-encoding it on
-// first use. sync.Once makes the encode single-flight and the result
-// immutable, so a raw pull after the first is one Write of a shared slice.
-func (sn *snapshot) gobBody() []byte {
-	sn.rawOnce.Do(func() {
-		var buf bytes.Buffer
-		blob := ModelBlob{Round: sn.round, Params: sn.params, BN: sn.bn}
-		if err := gob.NewEncoder(&buf).Encode(blob); err != nil {
-			// Plain ints and float64 slices into a bytes.Buffer; unreachable.
-			panic(fmt.Sprintf("fldist: encoding model snapshot: %v", err))
+// writePull writes one pull body and charges its bytes to the counters. The
+// whole length is charged before the write, so a client that has read the
+// body to its end already sees it in /stats; a short write (the puller hung
+// up mid-body) is refunded after, so the counters settle on what actually
+// left and a dropped pull does not inflate the wire-saving numbers.
+func writePull(w http.ResponseWriter, body []byte, counters ...*atomic.Int64) {
+	for _, c := range counters {
+		c.Add(int64(len(body)))
+	}
+	n, _ := w.Write(body)
+	if short := int64(len(body) - n); short > 0 {
+		for _, c := range counters {
+			c.Add(-short)
 		}
-		sn.rawBody = buf.Bytes()
+	}
+}
+
+// rawModel returns the snapshot's raw pull body and its Content-Length,
+// encoding it on first use. sync.Once makes the encode single-flight and the
+// result immutable, so a raw pull after the first is one Write of a shared
+// slice.
+func (sn *snapshot) rawModel() ([]byte, string) {
+	sn.rawOnce.Do(func() {
+		sn.rawBody = encodeRawModel(sn.round, sn.params, sn.bn)
+		sn.rawCLen = strconv.Itoa(len(sn.rawBody))
 	})
-	return sn.rawBody
+	return sn.rawBody, sn.rawCLen
 }
 
 // getServed returns (building on first use this round) the compressed pull
@@ -728,29 +723,35 @@ func (s *Server) buildServed(snap *snapshot, prevErr []float64, c Compression) *
 	return sm
 }
 
-// bodyLimit caps one /update body at a generous multiple of the model size
-// so an oversized POST cannot exhaust server memory: the largest legitimate
-// body is the raw gob update (~10 bytes per float64 plus framing), well
-// under 16 bytes/value.
-func bodyLimit(snap *snapshot) int64 {
-	return 4096 + 16*int64(len(snap.params)+len(snap.bn))
-}
-
-// pushScratch is the pooled per-request machinery of the streaming delta
-// path: a byte-counting reader, a buffered reader batching small chunk reads
-// off the HTTP body, and two reusable frame decoders. One Get/Put pair per
-// push keeps the handler's own allocation count flat.
+// pushScratch is the pooled per-request machinery of the push path: a
+// byte-counting reader, the WAL capture tee, a buffered reader batching small
+// chunk reads off the HTTP body, and two reusable frame decoders. One Get/Put
+// pair per push keeps the handler's own allocation count flat.
 type pushScratch struct {
-	cr countReader
-	br *bufio.Reader
-	pd quant.StreamDecoder
-	bd quant.StreamDecoder
+	cr  countReader
+	tee captureWriter
+	br  *bufio.Reader
+	pd  quant.StreamDecoder
+	bd  quant.StreamDecoder
 }
 
 var pushScratchPool = sync.Pool{
 	New: func() any { return &pushScratch{br: bufio.NewReaderSize(nil, 32<<10)} },
 }
 
+// handleUpdate accepts a push: an FPU1 envelope whose two frames the server
+// stream-decodes chunk-by-chunk — O(chunk) transient memory, never the whole
+// wire body — into a pooled buffer. Raw frames carry the client's absolute
+// values and decode straight into it; quantized frames carry a delta, applied
+// to the exact base the client pulled at the same codec parameters. Either
+// way the reconstructed full vectors feed the one aggregation path.
+//
+// No body-size limit is needed: every read is closed-form bounded before it
+// happens — the fixed 21-byte envelope header, two 14-byte frame headers, and
+// payloads whose sizes follow from the frame's value count, which is
+// validated against the model shape before any payload byte is read. A body
+// longer than its frames fails the trailing-bytes probe with 400; the excess
+// is never buffered.
 func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	//lint:ignore determinism admit-latency stats only; never reaches folded or replayed state
 	start := time.Now()
@@ -758,105 +759,22 @@ func (s *Server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	if r.Header.Get("Content-Type") == contentTypeDelta {
-		s.handleDeltaUpdate(w, r, start)
-		return
-	}
-	snap := s.model.Load()
-	cr := &countReader{r: http.MaxBytesReader(w, r.Body, bodyLimit(snap))}
-	defer func() { s.bytesInRaw.Add(cr.n) }()
-	var u Update
-	if err := gob.NewDecoder(cr).Decode(&u); err != nil {
-		http.Error(w, fmt.Sprintf("bad update: %v", err), http.StatusBadRequest)
-		return
-	}
-	if !s.admissibleRound(w, u.Round, snap) {
-		return
-	}
-	if len(u.Params) != len(snap.params) || len(u.BN) != len(snap.bn) {
-		http.Error(w, "shape mismatch", http.StatusBadRequest)
-		return
-	}
-	if err := checkWeight(u.Weight); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	for _, vec := range [][]float64{u.Params, u.BN} {
-		for _, x := range vec {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				http.Error(w, "non-finite value in update", http.StatusBadRequest)
-				return
-			}
-		}
-	}
-	// The gob decoder already allocated the vectors; hand them to the shards
-	// directly (no pooled buffer to release).
-	buf := &updateBuf{params: u.Params, bn: u.BN}
-	if s.async {
-		base, err := s.baseAt(u.Round)
-		if err != nil {
-			s.rejectStale(w, u.Round)
-			return
-		}
-		s.finishUpdateAsync(w, u.ClientID, u.Round, u.Weight, buf, false,
-			[]*atomic.Int64{&s.updatesRaw}, base.params, base.bn, start, nil)
-		return
-	}
-	s.finishUpdate(w, u.ClientID, u.Round, u.Weight, buf, false, []*atomic.Int64{&s.updatesRaw}, start)
-}
-
-// admissibleRound runs the cheap pre-admission round check of both push
-// paths against the lock-free snapshot (the admission registry re-checks
-// authoritatively): in synchronous mode the update must carry the current
-// round; in buffered mode its base round must sit inside the staleness
-// window. A failed check answers 409 and reports false.
-func (s *Server) admissibleRound(w http.ResponseWriter, round int, snap *snapshot) bool {
-	if s.async {
-		if d := snap.round - round; d < 0 || d > s.maxStale {
-			s.rejectStale(w, round)
-			return false
-		}
-		return true
-	}
-	if round != snap.round {
-		http.Error(w, fmt.Sprintf("stale round %d, server at %d", round, snap.round),
-			http.StatusConflict)
-		return false
-	}
-	return true
-}
-
-// rejectStale answers 409 for a buffered-mode push outside the staleness
-// window and charges the stale-rejection counter (a client hearing this has
-// wasted the training pass).
-func (s *Server) rejectStale(w http.ResponseWriter, round int) {
-	s.staleRejected.Add(1)
-	http.Error(w, fmt.Sprintf("stale round %d, outside the staleness window", round),
-		http.StatusConflict)
-}
-
-// handleDeltaUpdate accepts a compressed push: quantized deltas that the
-// server stream-decodes chunk-by-chunk — O(chunk) transient memory, never
-// the whole wire body — and applies to the exact base it served this round
-// at the same codec parameters, feeding the reconstructed full vectors into
-// the same aggregation path as raw updates.
-//
-// Unlike the raw path, no MaxBytesReader is needed: every read is
-// closed-form bounded before it happens — the fixed 21-byte envelope header,
-// two 14-byte frame headers, and chunk payloads whose sizes follow from the
-// frame's value count, which is validated against the model shape before any
-// payload byte is read. A body longer than its frames fails the trailing-
-// bytes probe with 400; the excess is never buffered.
-func (s *Server) handleDeltaUpdate(w http.ResponseWriter, r *http.Request, start time.Time) {
 	snap := s.model.Load()
 	sc := pushScratchPool.Get().(*pushScratch)
 	sc.cr = countReader{r: r.Body}
-	sparse := false // set once the params frame turns out to be sparse
+	raw, sparse := false, false // the params frame's form, once its header is read
 	defer func() {
-		s.bytesInComp.Add(sc.cr.n)
+		// Per-form attribution: a raw-frame push charges the raw series; every
+		// other body the compressed one, a sparse push the sparse subset too.
+		if raw {
+			s.bytesInRaw.Add(sc.cr.n)
+		} else {
+			s.bytesInComp.Add(sc.cr.n)
+		}
 		if sparse {
 			s.bytesInSparse.Add(sc.cr.n)
 		}
+		sc.tee = captureWriter{}
 		sc.br.Reset(nil) // drop the request body reference before pooling
 		pushScratchPool.Put(sc)
 	}()
@@ -891,19 +809,9 @@ func (s *Server) handleDeltaUpdate(w http.ResponseWriter, r *http.Request, start
 		return
 	}
 
-	// With a WAL attached, tee the rest of the body — the wire frames,
-	// verbatim — into a pooled admission capture as the decoders stream it:
-	// the log's frame-form record replays them through this same handler
-	// arithmetic on recovery (recover.go). ~50µs of memcpy for an 8-bit
-	// frame, against the ~ms of delta capture and raw-frame encode the
-	// delta-form record would cost on the same push. Speculative: rejected
-	// pushes release the capture unwritten.
 	// A delta-downlink client (codec negotiated with delta=1) declares its
 	// codec on the push too: its training base is a chain entry in the
-	// per-round base registry (servedelta.go), not a served model. Those
-	// admissions skip the verbatim frame tee below — the chain is not
-	// persisted across restarts, so with a WAL attached they are captured in
-	// delta form instead (finishUpdateAsync), which replays without a base.
+	// per-round base registry (servedelta.go), not a served model.
 	pushComp, _, pushNeg, err := parseCodec(r.Header.Get(codecHeader))
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
@@ -911,174 +819,257 @@ func (s *Server) handleDeltaUpdate(w http.ResponseWriter, r *http.Request, start
 	}
 	deltaPush := pushNeg && pushComp.Delta
 
+	// With a WAL attached (buffered mode), a compressed push's frames are teed
+	// verbatim into a pooled admission capture as the decoders stream them:
+	// the log's frame-form record replays them through this same arithmetic
+	// on recovery (recover.go) — ~50µs of memcpy for an 8-bit frame. Raw-frame
+	// and delta-downlink pushes are logged in delta form instead (see
+	// walAdmit), so the tee stops as soon as the params frame turns out raw,
+	// and a delta-downlink push never starts one: the chain its base lives in
+	// is not persisted across restarts. Speculative: rejected pushes release
+	// the capture unwritten.
 	var wrec *walAdmit
 	src := io.Reader(&sc.cr)
-	if s.async && s.wal != nil && !deltaPush {
+	if s.async && s.wal != nil {
 		wrec = s.wal.newAdmit()
 		defer func() {
 			if wrec != nil {
 				s.wal.releaseAdmit(wrec)
 			}
 		}()
-		src = io.TeeReader(src, appendWriter{&wrec.frames})
+		if !deltaPush {
+			sc.tee = captureWriter{&wrec.frames}
+			src = io.TeeReader(src, &sc.tee)
+		}
 	}
 	sc.br.Reset(src)
 	br := sc.br
 
-	dec := &sc.pd
-	if err := dec.Reset(br); err != nil {
+	pd := &sc.pd
+	if err := pd.Reset(br); err != nil {
 		http.Error(w, fmt.Sprintf("fldist: update params frame: %v", err), http.StatusBadRequest)
 		return
 	}
-	if dec.IsRaw() {
-		http.Error(w, "fldist: delta update must carry a quantized params frame", http.StatusBadRequest)
-		return
-	}
-	comp, err := Compression{Bits: dec.Bits(), Chunk: dec.Chunk()}.normalize()
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	if dec.Len() != len(snap.params) {
+	raw, sparse = pd.IsRaw(), pd.IsSparse()
+	if pd.Len() != len(snap.params) {
 		http.Error(w, "shape mismatch", http.StatusBadRequest)
 		return
 	}
-	// The base the client trained from: for a delta-mode client, the chain
-	// entry at its held round (the per-round base registry, servedelta.go);
-	// otherwise the base round's served dequantized model at the same codec
-	// parameters — deterministic, so recomputing on a cache miss yields the
-	// same values (buffered mode looks the entry up in the retained window
-	// instead).
+	// The base the client trained from. A raw push needs none in synchronous
+	// mode (its values are absolute); in buffered mode the fold takes it as a
+	// delta against the snapshot of its base round. A delta-downlink push
+	// resolves the chain entry at its held round; any other quantized push the
+	// base round's served dequantized model at the same codec parameters —
+	// deterministic, so recomputing on a cache miss yields the same values.
 	var baseP, baseBN []float64
-	if deltaPush {
+	stale := false
+	switch {
+	case raw:
+		if deltaPush {
+			http.Error(w, "fldist: delta-downlink update must carry a quantized params frame",
+				http.StatusBadRequest)
+			return
+		}
+		sc.tee = captureWriter{}
+		if s.async {
+			base, err := s.baseAt(round)
+			if base != nil {
+				baseP, baseBN = base.params, base.bn
+			}
+			stale = err != nil
+		}
+	case deltaPush:
 		var ok bool
+		// No chain (the server restarted) or the round fell out of the
+		// window: the client must re-pull — landing cold on the fresh chain —
+		// and retrain.
 		baseP, baseBN, ok = s.deltaBaseAt(pushComp, round)
-		if !ok {
-			// No chain (the server restarted) or the round fell out of the
-			// window: the client must re-pull — landing cold on the fresh
-			// chain — and retrain.
-			if s.async {
-				s.rejectStale(w, round)
-				return
-			}
-			http.Error(w, fmt.Sprintf("stale round %d", round), http.StatusConflict)
-			return
-		}
-	} else {
-		sm, err := s.getServed(comp, round)
-		if errors.Is(err, errStaleServe) {
-			if s.async {
-				s.rejectStale(w, round)
-				return
-			}
-			http.Error(w, fmt.Sprintf("stale round %d", round), http.StatusConflict)
-			return
-		}
+		stale = !ok
+	default:
+		comp, err := Compression{Bits: pd.Bits(), Chunk: pd.Chunk()}.normalize()
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		baseP, baseBN = sm.params, sm.bn
+		sm, err := s.getServed(comp, round)
+		if err != nil && !errors.Is(err, errStaleServe) {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+		if sm != nil {
+			baseP, baseBN = sm.params, sm.bn
+		}
+		stale = err != nil
+	}
+	if stale {
+		if s.async {
+			s.rejectStale(w, round)
+			return
+		}
+		http.Error(w, fmt.Sprintf("stale round %d", round), http.StatusConflict)
+		return
 	}
 
 	buf := s.bufPool.Get().(*updateBuf)
-	if dec.IsSparse() {
-		// Sparse top-k frame: every unsent coordinate is exactly zero delta,
-		// so reconstruction copies the base and scatter-adds the k stored
-		// values; one finiteness sweep then covers the whole vector (a wire
-		// scale can be hostile, so the added values are not trusted).
-		sparse = true
+	if err := decodeUpdateFrames(br, pd, &sc.bd, baseP, baseBN, buf); err != nil {
+		s.bufPool.Put(buf)
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
+	}
+	counters := []*atomic.Int64{&s.updatesComp}
+	switch {
+	case raw:
+		counters[0] = &s.updatesRaw
+	case sparse:
+		counters = append(counters, &s.updatesSparse)
+	}
+	if !s.async {
+		s.finishUpdate(w, clientID, round, weight, buf, counters, start)
+		return
+	}
+	if wrec != nil {
+		wrec.comp = !raw
+		if raw || deltaPush {
+			wrec.setDelta(buf, baseP, baseBN)
+		}
+	}
+	rec := wrec
+	wrec = nil // ownership passes; finishUpdateAsync releases on rejection
+	s.finishUpdateAsync(w, clientID, round, weight, buf, counters, baseP, baseBN, start, rec)
+}
+
+// decodeUpdateFrames finishes decoding a push whose params frame header pd
+// has already read off r, into buf. A raw params frame holds absolute values
+// and decodes straight in — not as 0 + x, which would turn −0 into +0 — and
+// its BN frame must be raw too. A quantized params frame is a delta: dense
+// chunks are added onto baseP as they land, a sparse frame scatter-adds onto
+// a copy of baseP, and the BN frame (raw or quantized) is a delta onto baseBN.
+// Every resulting value must be finite, and r must end with the BN frame. The
+// live handler and WAL replay both decode through here, so a replayed
+// admission reconstructs bit-identically.
+func decodeUpdateFrames(r *bufio.Reader, pd, bd *quant.StreamDecoder, baseP, baseBN []float64, buf *updateBuf) error {
+	if pd.Len() != len(buf.params) {
+		return errors.New("shape mismatch")
+	}
+	switch {
+	case pd.IsRaw():
+		if err := pd.DecodeAll(buf.params); err != nil {
+			return fmt.Errorf("fldist: update params frame: %w", err)
+		}
+		if !allFinite(buf.params) {
+			return errNonFinite
+		}
+	case pd.IsSparse():
+		// Every unsent coordinate is exactly zero delta, so reconstruction
+		// copies the base and scatter-adds the k stored values; one finiteness
+		// sweep then covers the whole vector (a wire scale can be hostile, so
+		// the added values are not trusted).
 		copy(buf.params, baseP)
-		if err := dec.ApplySparse(buf.params); err != nil {
-			s.bufPool.Put(buf)
-			http.Error(w, fmt.Sprintf("fldist: update params frame: %v", err), http.StatusBadRequest)
-			return
+		if err := pd.ApplySparse(buf.params); err != nil {
+			return fmt.Errorf("fldist: update params frame: %w", err)
 		}
-		for _, v := range buf.params {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				s.bufPool.Put(buf)
-				http.Error(w, "non-finite value in update", http.StatusBadRequest)
-				return
-			}
+		if !allFinite(buf.params) {
+			return errNonFinite
 		}
-	} else {
-		// Stream the dense delta chunks into the pooled buffer,
-		// reconstructing base+delta and rejecting non-finite results as each
-		// chunk lands.
+	default:
+		// Stream the dense delta chunks into buf, reconstructing base+delta
+		// and rejecting non-finite results as each chunk lands.
 		off := 0
-		for l := dec.NextLen(); l > 0; l = dec.NextLen() {
+		for l := pd.NextLen(); l > 0; l = pd.NextLen() {
 			dst := buf.params[off : off+l]
-			if err := dec.Next(dst); err != nil {
-				s.bufPool.Put(buf)
-				http.Error(w, fmt.Sprintf("fldist: update params frame: %v", err), http.StatusBadRequest)
-				return
+			if err := pd.Next(dst); err != nil {
+				return fmt.Errorf("fldist: update params frame: %w", err)
 			}
 			base := baseP[off : off+l]
 			for i := range dst {
 				v := dst[i] + base[i]
 				if math.IsNaN(v) || math.IsInf(v, 0) {
-					s.bufPool.Put(buf)
-					http.Error(w, "non-finite value in update", http.StatusBadRequest)
-					return
+					return errNonFinite
 				}
 				dst[i] = v
 			}
 			off += l
 		}
 	}
-
-	bnDec := &sc.bd
-	if err := bnDec.Reset(br); err != nil {
-		s.bufPool.Put(buf)
-		http.Error(w, fmt.Sprintf("fldist: update bn frame: %v", err), http.StatusBadRequest)
-		return
+	if err := bd.Reset(r); err != nil {
+		return fmt.Errorf("fldist: update bn frame: %w", err)
 	}
-	if bnDec.Len() != len(snap.bn) {
-		s.bufPool.Put(buf)
-		http.Error(w, "shape mismatch", http.StatusBadRequest)
-		return
+	if bd.Len() != len(buf.bn) {
+		return errors.New("shape mismatch")
 	}
-	if err := bnDec.DecodeAll(buf.bn); err != nil {
-		s.bufPool.Put(buf)
-		http.Error(w, fmt.Sprintf("fldist: update bn frame: %v", err), http.StatusBadRequest)
-		return
+	if pd.IsRaw() && !bd.IsRaw() {
+		return errors.New("fldist: update with a raw params frame must carry a raw bn frame")
 	}
-	for i := range buf.bn {
-		v := buf.bn[i] + baseBN[i]
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			s.bufPool.Put(buf)
-			http.Error(w, "non-finite value in update", http.StatusBadRequest)
-			return
+	if err := bd.DecodeAll(buf.bn); err != nil {
+		return fmt.Errorf("fldist: update bn frame: %w", err)
+	}
+	if !pd.IsRaw() {
+		for i := range buf.bn {
+			buf.bn[i] += baseBN[i]
 		}
-		buf.bn[i] = v
 	}
-	if _, err := br.ReadByte(); err != io.EOF {
-		s.bufPool.Put(buf)
-		http.Error(w, "fldist: update envelope has trailing bytes", http.StatusBadRequest)
-		return
+	if !allFinite(buf.bn) {
+		return errNonFinite
 	}
-	// Per-form attribution: a sparse push charges the sparse series on top
-	// of the compressed total, so /stats can split traffic by frame form.
-	counters := []*atomic.Int64{&s.updatesComp}
-	if sparse {
-		counters = append(counters, &s.updatesSparse)
+	if _, err := r.ReadByte(); err != io.EOF {
+		return errors.New("fldist: update envelope has trailing bytes")
 	}
-	if s.async {
-		rec := wrec
-		wrec = nil // ownership passes; finishUpdateAsync releases on rejection
-		s.finishUpdateAsync(w, clientID, round, weight, buf, true, counters,
-			baseP, baseBN, start, rec)
-		return
-	}
-	s.finishUpdate(w, clientID, round, weight, buf, true, counters, start)
+	return nil
 }
 
-// appendWriter is the tee target of the delta handler's WAL capture: an
-// io.Writer appending into a pooled byte slice.
-type appendWriter struct{ b *[]byte }
+// errNonFinite rejects an update carrying a NaN or infinite value: one
+// poisoned value would corrupt the weighted average for every client.
+var errNonFinite = errors.New("non-finite value in update")
 
-func (w appendWriter) Write(p []byte) (int, error) {
-	*w.b = append(*w.b, p...)
+// allFinite reports whether v holds no NaN or infinite value.
+func allFinite(v []float64) bool {
+	for _, x := range v {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return false
+		}
+	}
+	return true
+}
+
+// admissibleRound runs the cheap pre-admission round check of the push path
+// against the lock-free snapshot (the admission registry re-checks
+// authoritatively): in synchronous mode the update must carry the current
+// round; in buffered mode its base round must sit inside the staleness
+// window. A failed check answers 409 and reports false.
+func (s *Server) admissibleRound(w http.ResponseWriter, round int, snap *snapshot) bool {
+	if s.async {
+		if d := snap.round - round; d < 0 || d > s.maxStale {
+			s.rejectStale(w, round)
+			return false
+		}
+		return true
+	}
+	if round != snap.round {
+		http.Error(w, fmt.Sprintf("stale round %d, server at %d", round, snap.round),
+			http.StatusConflict)
+		return false
+	}
+	return true
+}
+
+// rejectStale answers 409 for a buffered-mode push outside the staleness
+// window and charges the stale-rejection counter (a client hearing this has
+// wasted the training pass).
+func (s *Server) rejectStale(w http.ResponseWriter, round int) {
+	s.staleRejected.Add(1)
+	http.Error(w, fmt.Sprintf("stale round %d, outside the staleness window", round),
+		http.StatusConflict)
+}
+
+// captureWriter is the tee target of the push path's WAL capture: an
+// io.Writer appending into a pooled byte slice, or discarding once dst is
+// nil (the capture stopped).
+type captureWriter struct{ dst *[]byte }
+
+func (c *captureWriter) Write(p []byte) (int, error) {
+	if c.dst != nil {
+		*c.dst = append(*c.dst, p...)
+	}
 	return len(p), nil
 }
 
@@ -1109,9 +1100,9 @@ const (
 // round check, the duplicate check, and the quorum count, then parks the
 // decoded vectors in the shards' pending lists (O(shards) pointer appends).
 // The model-sized work — decode, dequantize, base reconstruction,
-// finiteness — happened before this call, outside any lock. pooled marks
-// buffers leased from bufPool (released after the fold).
-func (s *Server) register(clientID, round int, weight float64, buf *updateBuf, pooled bool) registerOutcome {
+// finiteness — happened before this call, outside any lock. buf is leased
+// from bufPool and released after the fold.
+func (s *Server) register(clientID, round int, weight float64, buf *updateBuf) registerOutcome {
 	s.pendMu.Lock()
 	defer s.pendMu.Unlock()
 	snap := s.model.Load()
@@ -1134,9 +1125,7 @@ func (s *Server) register(clientID, round int, weight float64, buf *updateBuf, p
 	}
 	s.pendingIDs[clientID] = true
 	s.pendingN++
-	if pooled {
-		s.pendingBufs = append(s.pendingBufs, buf)
-	}
+	s.pendingBufs = append(s.pendingBufs, buf)
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.add(contrib{clientID: clientID, weight: weight, vals: buf.params[sh.lo:sh.hi]})
@@ -1148,21 +1137,19 @@ func (s *Server) register(clientID, round int, weight float64, buf *updateBuf, p
 	return regAdmitted
 }
 
-// finishUpdate runs the transport-independent tail of both push paths:
-// admission, stats attribution, the round-advance barrier when the quorum
-// fills, and the HTTP verdict. pooled marks buffers leased from bufPool;
-// they are returned here on the non-admitted outcomes and by advanceRound
-// after the fold otherwise. counters attribute the update to its /stats
-// series (the compressed total plus, for a sparse push, the sparse subset),
-// charged only once the update actually counts toward the round.
+// finishUpdate runs the synchronous-mode tail of the push path: admission,
+// stats attribution, the round-advance barrier when the quorum fills, and
+// the HTTP verdict. buf (leased from bufPool) is returned here on the
+// non-admitted outcomes and by advanceRound after the fold otherwise.
+// counters attribute the update to its /stats series (its frame form's total
+// plus, for a sparse push, the sparse subset), charged only once the update
+// actually counts toward the round.
 func (s *Server) finishUpdate(w http.ResponseWriter, clientID, round int, weight float64,
-	buf *updateBuf, pooled bool, counters []*atomic.Int64, start time.Time) {
-	outcome := s.register(clientID, round, weight, buf, pooled)
+	buf *updateBuf, counters []*atomic.Int64, start time.Time) {
+	outcome := s.register(clientID, round, weight, buf)
 	switch outcome {
 	case regStale, regQuorumFull:
-		if pooled {
-			s.bufPool.Put(buf)
-		}
+		s.bufPool.Put(buf)
 		if outcome == regQuorumFull {
 			s.awaitRoundAdvance(round)
 		}
@@ -1172,9 +1159,7 @@ func (s *Server) finishUpdate(w http.ResponseWriter, clientID, round int, weight
 		// Retry of an already-counted update (e.g. the client timed out
 		// waiting for a slow 200). Acknowledge without re-counting so the
 		// FedAvg weights stay correct and the client moves on.
-		if pooled {
-			s.bufPool.Put(buf)
-		}
+		s.bufPool.Put(buf)
 		w.Header().Set("X-Fldist-Duplicate", "1")
 		w.WriteHeader(http.StatusOK)
 		return
@@ -1200,12 +1185,12 @@ func (s *Server) finishUpdate(w http.ResponseWriter, clientID, round int, weight
 // range of them so the commit can fold the update as a delta. It returns the
 // outcome plus the round the registry observed, so a quorum-full caller can
 // wait out the in-flight commit and retry. wrec, when non-nil, is the
-// update's WAL capture (delta already computed by the caller, outside any
-// lock): on admission its sequence number is reserved here — inside pendMu,
-// where logical order is decided, so the log's file order matches admission
-// order — along with the observed round and effective weight.
+// update's WAL capture (filled by the caller, outside any lock): on
+// admission its sequence number is reserved here — inside pendMu, where
+// logical order is decided, so the log's file order matches admission order —
+// along with the observed round and effective weight.
 func (s *Server) registerAsync(clientID, baseRound int, weight float64, buf *updateBuf,
-	pooled bool, baseP, baseBN []float64, wrec *walAdmit) (registerOutcome, int) {
+	baseP, baseBN []float64, wrec *walAdmit) (registerOutcome, int) {
 	s.pendMu.Lock()
 	defer s.pendMu.Unlock()
 	snap := s.model.Load()
@@ -1246,9 +1231,7 @@ func (s *Server) registerAsync(clientID, baseRound int, weight float64, buf *upd
 		//lint:ignore determinism admission age clock paces edge flushes; folded bytes are unaffected
 		s.oldestAdmit.Store(time.Now().UnixNano())
 	}
-	if pooled {
-		s.pendingBufs = append(s.pendingBufs, buf)
-	}
+	s.pendingBufs = append(s.pendingBufs, buf)
 	effW := weight / float64(1+stale)
 	for i := range s.shards {
 		sh := &s.shards[i]
@@ -1277,31 +1260,14 @@ func (s *Server) registerAsync(clientID, baseRound int, weight float64, buf *upd
 // waits the commit out and retries — the update may still be admissible one
 // round later — instead of answering a premature 409.
 func (s *Server) finishUpdateAsync(w http.ResponseWriter, clientID, baseRound int, weight float64,
-	buf *updateBuf, pooled bool, counters []*atomic.Int64, baseP, baseBN []float64, start time.Time,
+	buf *updateBuf, counters []*atomic.Int64, baseP, baseBN []float64, start time.Time,
 	wrec *walAdmit) {
-	// With a WAL attached and no wire-frame capture teed off by the caller
-	// (the raw-gob path has no frames to tee), capture the update's delta
-	// against its base here — outside every lock, while this handler still
-	// owns buf — so the log can replay the contribution bit-identically as
-	// (delta, zero base): the fold only ever consumes weight·(vals−base),
-	// and vals−0 ≡ delta. Speculative on the rare non-admitted outcomes; the
-	// capture is pooled either way.
-	if s.wal != nil && wrec == nil {
-		wrec = s.wal.newAdmit()
-		if wrec.dp == nil {
-			wrec.dp = make([]float64, len(baseP))
-			wrec.db = make([]float64, len(baseBN))
-		}
-		subVec(wrec.dp, buf.params, baseP)
-		subVec(wrec.db, buf.bn, baseBN)
-	}
 	if wrec != nil {
 		wrec.clientID = clientID
 		wrec.baseRound = baseRound
-		wrec.comp = pooled
 	}
 	for {
-		outcome, observed := s.registerAsync(clientID, baseRound, weight, buf, pooled, baseP, baseBN, wrec)
+		outcome, observed := s.registerAsync(clientID, baseRound, weight, buf, baseP, baseBN, wrec)
 		switch outcome {
 		case regQuorumFull:
 			s.awaitRoundAdvance(observed)
@@ -1312,9 +1278,7 @@ func (s *Server) finishUpdateAsync(w http.ResponseWriter, clientID, baseRound in
 				// fresh, so staleRejected is not charged and the retry
 				// header tells the client to re-push the same body instead
 				// of discarding the training pass.
-				if pooled {
-					s.bufPool.Put(buf)
-				}
+				s.bufPool.Put(buf)
 				if wrec != nil {
 					s.wal.releaseAdmit(wrec)
 				}
@@ -1325,9 +1289,7 @@ func (s *Server) finishUpdateAsync(w http.ResponseWriter, clientID, baseRound in
 			}
 			continue
 		case regStale:
-			if pooled {
-				s.bufPool.Put(buf)
-			}
+			s.bufPool.Put(buf)
 			if wrec != nil {
 				s.wal.releaseAdmit(wrec)
 			}
@@ -1338,9 +1300,7 @@ func (s *Server) finishUpdateAsync(w http.ResponseWriter, clientID, baseRound in
 			// buffer is full because the tier's flusher is behind. The retry
 			// header tells the client to re-push the same body later instead
 			// of discarding the training pass.
-			if pooled {
-				s.bufPool.Put(buf)
-			}
+			s.bufPool.Put(buf)
 			if wrec != nil {
 				s.wal.releaseAdmit(wrec)
 			}
@@ -1348,9 +1308,7 @@ func (s *Server) finishUpdateAsync(w http.ResponseWriter, clientID, baseRound in
 			http.Error(w, "update buffer full, retry", http.StatusConflict)
 			return
 		case regDuplicate:
-			if pooled {
-				s.bufPool.Put(buf)
-			}
+			s.bufPool.Put(buf)
 			if wrec != nil {
 				s.wal.releaseAdmit(wrec)
 			}

@@ -20,9 +20,9 @@ import (
 // snapshot is one round's immutable global model state. Nothing mutates a
 // snapshot after it is published; pulls, pushes and stats all read it without
 // locks. Snapshots are always handled by pointer (rawOnce makes a value copy
-// a vet error), and the raw-protocol pull body is built lazily once per
-// snapshot (gobBody in server.go) so raw pulls after the first are one write
-// of a shared immutable slice.
+// a vet error), and the raw pull body is built lazily once per snapshot
+// (rawModel in server.go) so raw pulls after the first are one write of a
+// shared immutable slice.
 type snapshot struct {
 	round  int
 	params []float64
@@ -30,6 +30,7 @@ type snapshot struct {
 
 	rawOnce sync.Once
 	rawBody []byte
+	rawCLen string
 }
 
 // contrib is one admitted client's contribution restricted to a shard's

@@ -3,7 +3,6 @@ package fldist
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -44,8 +43,8 @@ func perturb(base []float64, id, round int) []float64 {
 	return out
 }
 
-// decodeModelEnvelopeT parses a compressed pull body — the test-side
-// counterpart of Client.streamModelEnvelope, built on the same streaming
+// decodeModelEnvelopeT parses a pull body (raw or compressed) — the test-side
+// counterpart of decodeModelEnvelope, built on the same streaming
 // decoder so the wire format has exactly one parser per direction.
 func decodeModelEnvelopeT(body io.Reader) (round int, params, bn []float64, err error) {
 	var hdr [9]byte
@@ -69,7 +68,7 @@ func decodeModelEnvelopeT(body io.Reader) (round int, params, bn []float64, err 
 	return round, params, bn, nil
 }
 
-// synthClient is a hand-rolled protocol participant: raw gob when comp is
+// synthClient is a hand-rolled protocol participant: raw frames when comp is
 // nil, compressed deltas (with client-side error feedback) otherwise.
 type synthClient struct {
 	id     int
@@ -100,22 +99,15 @@ func (c *synthClient) pull(t *testing.T, ts *httptest.Server) int {
 		b, _ := io.ReadAll(resp.Body)
 		t.Fatalf("client %d pull: %s: %s", c.id, resp.Status, b)
 	}
-	if c.comp != nil {
-		round, params, bn, err := decodeModelEnvelopeT(resp.Body)
-		if err != nil {
-			t.Fatalf("client %d pull: %v", c.id, err)
-		}
-		c.base = params
-		c.baseBN = bn
-		return round
+	// Raw and compressed pulls are both FPM1 envelopes; only the params
+	// frame's form differs.
+	round, params, bn, err := decodeModelEnvelopeT(resp.Body)
+	if err != nil {
+		t.Fatalf("client %d pull: %v", c.id, err)
 	}
-	var blob ModelBlob
-	if err := gob.NewDecoder(resp.Body).Decode(&blob); err != nil {
-		t.Fatal(err)
-	}
-	c.base = blob.Params
-	c.baseBN = blob.BN
-	return blob.Round
+	c.base = params
+	c.baseBN = bn
+	return round
 }
 
 // push trains (perturbs) and uploads for the given round, returning the HTTP
@@ -145,13 +137,13 @@ func (c *synthClient) push(t *testing.T, ts *httptest.Server, round int) (status
 		}
 		c.residual = next
 	} else {
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(Update{
+		env, err := encodeRawUpdate(Update{
 			ClientID: c.id, Round: round, Weight: c.weight, Params: params, BN: bn,
-		}); err != nil {
+		})
+		if err != nil {
 			t.Fatal(err)
 		}
-		contentType, body = contentTypeGob, buf.Bytes()
+		contentType, body = contentTypeDelta, env
 	}
 	resp, err := ts.Client().Post(ts.URL+"/update", contentType, bytes.NewReader(body))
 	if err != nil {

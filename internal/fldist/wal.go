@@ -151,13 +151,14 @@ type walCommit struct {
 
 // walAdmit is one buffered-mode admission, captured in one of two forms:
 //
-// Delta form (raw-gob pushes): the update's *delta* against its base
-// (vals − base), computed at admission. The commit fold only ever consumes
-// weight·(vals−base) per element, so replaying the contribution as
-// (delta, zero-base) feeds the identical difference into the identical fold —
-// without persisting any base vector.
+// Delta form (raw-frame and delta-downlink pushes): the update's *delta*
+// against its base (vals − base), computed at admission. The commit fold only
+// ever consumes weight·(vals−base) per element, so replaying the contribution
+// as (delta, zero-base) feeds the identical difference into the identical
+// fold — without persisting any base vector (a delta-downlink push's base is
+// a chain entry, which no log record carries).
 //
-// Frame form (compressed pushes): the client's wire frames, verbatim — the
+// Frame form (other compressed pushes): the client's wire frames, verbatim — the
 // quantized params frame and the raw BN frame exactly as they crossed the
 // network. Replay re-runs the handler's own path — stream-decode, add the
 // served base the client pulled, fold as (vals, base) — against a base that
@@ -170,7 +171,7 @@ type walAdmit struct {
 	admitRound int // the round the registry observed at admission
 	baseRound  int
 	clientID   int
-	comp       bool // stats attribution only: arrived via the compressed path
+	comp       bool // stats attribution only: the params frame was not raw
 	effW       float64
 	dp, db     []float64 // delta form: delta params / delta BN
 	frames     []byte    // frame form (len > 0): params frame ++ bn frame, wire bytes
@@ -621,7 +622,7 @@ func newWAL(dir string, f, lf *os.File, m walMeta, policy WALSyncPolicy) *wal {
 	w.cond = sync.NewCond(&w.mu)
 	w.closeCh = make(chan struct{})
 	// Captures start empty: the frame form never touches dp/db, so the
-	// model-sized delta scratch is allocated lazily by the first raw-gob
+	// model-sized delta scratch is allocated lazily by the first delta-form
 	// capture a pooled object serves (and kept across reuses).
 	w.admitPool.New = func() any { return new(walAdmit) }
 	return w
@@ -703,6 +704,16 @@ func (w *wal) newAdmit() *walAdmit {
 	a := w.admitPool.Get().(*walAdmit)
 	a.frames = a.frames[:0]
 	return a
+}
+
+// setDelta fills the delta form from a decoded update and the base it folds
+// against: dp/db = vals − base, element-wise, with no frame bytes.
+func (a *walAdmit) setDelta(buf *updateBuf, baseP, baseBN []float64) {
+	a.frames = a.frames[:0]
+	a.dp = resize(a.dp, len(buf.params))
+	a.db = resize(a.db, len(buf.bn))
+	subVec(a.dp, buf.params, baseP)
+	subVec(a.db, buf.bn, baseBN)
 }
 
 // releaseAdmit returns a capture to the pool.

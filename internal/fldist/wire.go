@@ -3,16 +3,38 @@ package fldist
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
+
+	"fedprophet/internal/quant"
 )
 
+// ModelBlob is one global model state as a raw pull delivers it: the round
+// and the exact float64 parameter and BN-statistics vectors.
+type ModelBlob struct {
+	Round  int
+	Params []float64
+	BN     []float64
+}
+
+// Update is one raw contribution: the client's absolute trained values for
+// the round whose model it trained from.
+type Update struct {
+	ClientID int
+	Round    int
+	Weight   float64 // FedAvg weight qk (local dataset size)
+	Params   []float64
+	BN       []float64
+}
+
 // Compression configures the compressed delta wire protocol of a client:
-// model bodies travel as chunk-quantized binary frames instead of gob
-// float64 blobs, and pushes carry quantized *deltas* against the pulled
-// global model with client-side error feedback. See docs/WIRE.md for the
-// byte-level specification.
+// model bodies travel as chunk-quantized frames instead of exact float64
+// frames, and pushes carry quantized *deltas* against the pulled global model
+// with client-side error feedback. See docs/WIRE.md for the byte-level
+// specification.
 type Compression struct {
 	// Bits is the quantization width, 2..8.
 	Bits int
@@ -98,8 +120,8 @@ func (c Compression) serveKey() Compression {
 // compression sends `X-Fldist-Codec: fpq1;bits=B;chunk=C` on GET /model;
 // a server that honors it echoes the same header on the response and will
 // accept a delta-encoded POST /update at those parameters for that round.
-// Absent the echo, the client must fall back to the raw gob protocol —
-// that is how old clients and old servers interoperate.
+// Absent the echo, the body carries exact values and the client pushes raw
+// frames — one envelope format either way, the frames' form differing.
 const (
 	codecHeader = "X-Fldist-Codec"
 	codecName   = "fpq1"
@@ -110,8 +132,10 @@ const (
 	// the 409 as stale still behave correctly, just wastefully.
 	retryHeader = "X-Fldist-Retry"
 
-	contentTypeGob   = "application/octet-stream"
 	contentTypeModel = "application/x-fldist-model"
+	// contentTypeDelta marks every push body (an FPU1 envelope). The name
+	// predates raw-frame pushes; it is kept so compressed clients and older
+	// servers still agree on it.
 	contentTypeDelta = "application/x-fldist-delta"
 	// contentTypeModelDelta marks a catch-up pull body: an FPD1 envelope of
 	// per-round delta frames against the chain base the client declared,
@@ -201,44 +225,134 @@ func parseCodec(v string) (c Compression, base int, ok bool, err error) {
 	return c, base, true, nil
 }
 
-// encodeModelEnvelope frames a global-model pull: a fixed header carrying
-// the round, then one quant frame for the parameters and one for the BN
-// statistics.
-func encodeModelEnvelope(round int, params, bn []byte) []byte {
-	buf := make([]byte, 0, 9+len(params)+len(bn))
+// encodeRawModel frames a raw pull body: the FPM1 envelope header, then the
+// params and BN vectors as exact float64 frames. A codec-less pull and a
+// delta chain's cold pull are both this body.
+func encodeRawModel(round int, params, bn []float64) []byte {
+	buf := make([]byte, 0, 9+rawFrameBytes(len(params))+rawFrameBytes(len(bn)))
 	buf = append(buf, modelMagic...)
 	buf = append(buf, envVersion)
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(round))
-	buf = append(buf, params...)
-	buf = append(buf, bn...)
-	return buf
+	buf = quant.AppendRaw(buf, params)
+	return quant.AppendRaw(buf, bn)
 }
 
-// Decoding of these envelopes is streaming-only: the server parses pushes in
-// handleDeltaUpdate and the client parses pulls in streamModelEnvelope, both
-// on quant.StreamDecoder, so there is exactly one parser per direction.
+// rawFrameBytes is the encoded size of an n-value raw frame.
+func rawFrameBytes(n int) int { return quant.FrameHeaderSize + 8*n }
 
-// encodeUpdateEnvelope frames a compressed push.
-func encodeUpdateEnvelope(clientID, round int, weight float64, params, bn []byte) ([]byte, error) {
-	if clientID < 0 || int64(clientID) > math.MaxUint32 {
-		return nil, fmt.Errorf("fldist: client id %d not representable on the wire", clientID)
+// decodeModelEnvelope reads one FPM1 pull body: the 9-byte header, then the
+// params and BN frames, decoded incrementally into params/bn (reused when
+// their capacity suffices). wantP/wantB ≥ 0 pin the frames' lengths before
+// any payload byte is read — the client's replica shape. With want < 0 the
+// shape is not known yet (an edge's first upstream pull): the frame must then
+// be raw, and the vector grows block by block, so memory follows the bytes
+// actually received rather than the header's claim. Bytes after the BN frame
+// are an error. On failure the returned slices may hold partial values.
+func decodeModelEnvelope(body io.Reader, params, bn []float64, wantP, wantB int) (round int, p, b []float64, err error) {
+	var hdr [9]byte
+	if _, err := io.ReadFull(body, hdr[:]); err != nil {
+		return 0, params, bn, fmt.Errorf("model envelope header: %w", err)
 	}
-	buf := make([]byte, 0, 21+len(params)+len(bn))
-	buf = append(buf, updateMagic...)
-	buf = append(buf, envVersion)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(clientID))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(round))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(weight))
+	if string(hdr[:4]) != modelMagic {
+		return 0, params, bn, fmt.Errorf("model envelope magic %q", hdr[:4])
+	}
+	if hdr[4] != envVersion {
+		return 0, params, bn, fmt.Errorf("model envelope version %d, want %d", hdr[4], envVersion)
+	}
+	round = int(binary.LittleEndian.Uint32(hdr[5:9]))
+	var d quant.StreamDecoder
+	if params, err = readFrameVec(body, &d, params, wantP); err != nil {
+		return 0, params, bn, fmt.Errorf("model params frame: %w", err)
+	}
+	if bn, err = readFrameVec(body, &d, bn, wantB); err != nil {
+		return 0, params, bn, fmt.Errorf("model bn frame: %w", err)
+	}
+	// io.ReadFull distinguishes "no byte left" (0, io.EOF) from a reader
+	// that returns data alongside io.EOF or (0, nil) — a bare Read would
+	// miss trailing garbage on the former and spuriously fail on the latter.
+	var one [1]byte
+	if _, err := io.ReadFull(body, one[:]); err != io.EOF {
+		return 0, params, bn, fmt.Errorf("model envelope has trailing bytes")
+	}
+	return round, params, bn, nil
+}
+
+// readFrameVec decodes the next frame off r into dst (see
+// decodeModelEnvelope for the want contract) and returns the filled vector.
+func readFrameVec(r io.Reader, d *quant.StreamDecoder, dst []float64, want int) ([]float64, error) {
+	if err := d.Reset(r); err != nil {
+		return dst, err
+	}
+	if want >= 0 {
+		if d.Len() != want {
+			return dst, fmt.Errorf("frame carries %d values, local replica has %d", d.Len(), want)
+		}
+		dst = resize(dst, want)
+		return dst, d.DecodeAll(dst)
+	}
+	if !d.IsRaw() {
+		return dst, fmt.Errorf("frame of unknown shape must be raw, got bits %d", d.Bits())
+	}
+	dst = dst[:0]
+	for l := d.NextLen(); l > 0; l = d.NextLen() {
+		n := len(dst)
+		dst = slices.Grow(dst, l)[:n+l]
+		if err := d.Next(dst[n:]); err != nil {
+			return dst, err
+		}
+	}
+	return dst, nil
+}
+
+// resize returns v with exactly length n, reusing its backing array when it
+// is already big enough.
+func resize(v []float64, n int) []float64 {
+	if cap(v) >= n {
+		return v[:n]
+	}
+	return make([]float64, n)
+}
+
+// appendUpdateHeader appends the 21-byte FPU1 envelope header of a push.
+func appendUpdateHeader(dst []byte, clientID, round int, weight float64) ([]byte, error) {
+	if clientID < 0 || int64(clientID) > math.MaxUint32 {
+		return dst, fmt.Errorf("fldist: client id %d not representable on the wire", clientID)
+	}
+	dst = append(dst, updateMagic...)
+	dst = append(dst, envVersion)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(clientID))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(round))
+	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(weight)), nil
+}
+
+// encodeUpdateEnvelope frames a push around two already-encoded frames.
+func encodeUpdateEnvelope(clientID, round int, weight float64, params, bn []byte) ([]byte, error) {
+	buf, err := appendUpdateHeader(make([]byte, 0, 21+len(params)+len(bn)), clientID, round, weight)
+	if err != nil {
+		return nil, err
+	}
 	buf = append(buf, params...)
-	buf = append(buf, bn...)
-	return buf, nil
+	return append(buf, bn...), nil
+}
+
+// encodeRawUpdate frames a raw push: the envelope around u's absolute values
+// as two exact float64 frames, written straight into one exact-size body.
+func encodeRawUpdate(u Update) ([]byte, error) {
+	body := make([]byte, 0, 21+rawFrameBytes(len(u.Params))+rawFrameBytes(len(u.BN)))
+	buf, err := appendUpdateHeader(body, u.ClientID, u.Round, u.Weight)
+	if err != nil {
+		return nil, err
+	}
+	buf = quant.AppendRaw(buf, u.Params)
+	return quant.AppendRaw(buf, u.BN), nil
 }
 
 // Stats is a point-in-time snapshot of the server's traffic and progress
 // counters, served as JSON on GET /stats. Byte counts cover model-plane
-// bodies only (pull responses and push requests), split by whether the
-// compressed codec was in use, so operators can read the wire saving
-// directly as BytesInRaw+BytesOutRaw vs BytesInCompressed+BytesOutCompressed.
+// bodies only (pull responses and push requests), split by frame form — raw
+// (exact float64 frames, the codec-less protocol) vs compressed — so
+// operators can read the wire saving directly as BytesInRaw+BytesOutRaw vs
+// BytesInCompressed+BytesOutCompressed.
 // AdmitP50Micros/AdmitP99Micros are per-update admit-time percentiles
 // (receive → counted toward the round) over a sliding window of recent
 // admitted pushes — the same numbers cmd/benchserve reports, so operators

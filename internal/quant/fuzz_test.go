@@ -3,7 +3,7 @@ package quant
 import (
 	"bytes"
 	"errors"
-	"reflect"
+	"math"
 	"testing"
 )
 
@@ -90,8 +90,13 @@ func FuzzDecode(f *testing.F) {
 			if derr != nil {
 				t.Fatalf("stream path rejected a frame the buffered path accepts: %v", derr)
 			}
-			if !reflect.DeepEqual(dst, fr.Vector()) {
-				t.Fatal("stream and buffered decodes disagree on values")
+			// Bit patterns, not ==: a raw frame may carry NaNs, which never
+			// compare equal, and the two paths must agree on −0 too.
+			want := fr.Vector()
+			for i := range dst {
+				if math.Float64bits(dst[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("stream and buffered decodes disagree at %d: %v vs %v", i, dst[i], want[i])
+				}
 			}
 		}
 	})

@@ -63,7 +63,9 @@ func (s *SparseVec) AddTo(dst []float64) {
 	if len(dst) != s.N {
 		panic(fmt.Sprintf("quant: SparseVec.AddTo dst has %d values, want %d", len(dst), s.N))
 	}
-	vals := make([]float64, 0, s.Chunk)
+	// An occupied chunk holds at most min(Chunk, k) stored values; Chunk
+	// alone comes off the wire and may dwarf both n and k.
+	vals := make([]float64, 0, min(s.Chunk, len(s.Idx)))
 	si, off := 0, 0
 	for i := 0; i < len(s.Idx); {
 		j := groupEnd(s.Idx, i, s.Chunk)

@@ -287,6 +287,11 @@ func TestSparseDecodeRejectsCorruptFrames(t *testing.T) {
 	binary.LittleEndian.PutUint32(bigN[6:10], math.MaxUint32)
 	binary.LittleEndian.PutUint32(bigN[frameHeaderSize:], math.MaxUint32)
 	cases["count past payload"] = bigN
+	// The stream path's own truncation check: k within n, but far more
+	// indices than the payload holds.
+	kPastBytes := append([]byte{}, good...)
+	binary.LittleEndian.PutUint32(kPastBytes[frameHeaderSize:], 300)
+	cases["count past payload, k ≤ n"] = kPastBytes
 	// A zero delta after the first index duplicates its predecessor.
 	dupIdx := append([]byte{}, good...)
 	dupIdx[frameHeaderSize+4+1] = 0
@@ -328,7 +333,10 @@ func TestSparseDecodeRejectsCorruptFrames(t *testing.T) {
 		if !d.IsSparse() {
 			continue // corrupted into a non-sparse form; other tests cover it
 		}
-		dst := make([]float64, d.Len())
+		// Sized by the shape the caller expects, never by the header's n:
+		// "count past payload" declares n = 2³²−1, and a dst of that size is
+		// a 32 GiB allocation. The decoder must reject the mismatch itself.
+		dst := make([]float64, 300)
 		if err := d.ApplySparse(dst); err == nil {
 			// Streamed decoders cannot see trailing junk; strict framing is
 			// the buffered path's job.

@@ -303,11 +303,14 @@ func (d *StreamDecoder) Next(dst []float64) error {
 // DecodeAll decodes the frame's remaining values into dst, which must hold
 // exactly Len()−(values already decoded) values, block by block with pooled
 // O(chunk) scratch. A sparse frame decodes as its dense materialization:
-// stored values at their indices, exact zeros elsewhere.
+// stored values at their indices, exact zeros elsewhere. Any other dst length
+// is rejected with ErrCodec before a payload byte is read, so a caller that
+// sizes dst by the shape it expects (never by the header's Len()) bounds the
+// decode's memory whatever the frame declares.
 func (d *StreamDecoder) DecodeAll(dst []float64) error {
 	if len(dst) != d.n-d.done {
-		return fmt.Errorf("quant: stream decoder DecodeAll got %d-value dst, frame has %d left",
-			len(dst), d.n-d.done)
+		return fmt.Errorf("%w: DecodeAll got %d-value dst, frame has %d left",
+			ErrCodec, len(dst), d.n-d.done)
 	}
 	if d.sparse {
 		for i := range dst {
@@ -328,8 +331,9 @@ func (d *StreamDecoder) DecodeAll(dst []float64) error {
 // ApplySparse consumes a sparse frame, scatter-adding its stored dequantized
 // values onto dst (which must hold Len() values) and leaving every unstored
 // coordinate untouched — the error-feedback apply: pass the base vector in,
-// get base + decoded delta out. Structural violations wrap ErrCodec, and the
-// decoder's allocations stay proportional to the bytes actually read, so an
+// get base + decoded delta out. A dst whose length differs from the declared
+// n and every structural violation wrap ErrCodec, and the decoder's
+// allocations stay proportional to the bytes actually read, so an
 // adversarial header cannot force an oversized buffer.
 func (d *StreamDecoder) ApplySparse(dst []float64) error {
 	if !d.sparse {
@@ -339,7 +343,7 @@ func (d *StreamDecoder) ApplySparse(dst []float64) error {
 		return fmt.Errorf("quant: ApplySparse on a consumed frame")
 	}
 	if len(dst) != d.n {
-		return fmt.Errorf("quant: ApplySparse got %d-value dst, frame has %d", len(dst), d.n)
+		return fmt.Errorf("%w: ApplySparse got %d-value dst, frame declares %d", ErrCodec, len(dst), d.n)
 	}
 	return d.applySparse(dst)
 }
@@ -420,7 +424,10 @@ func (d *StreamDecoder) applySparse(dst []float64) error {
 		idx = append(idx, uint32(ix))
 		prev = ix
 	}
-	vals := make([]float64, 0, d.chunk)
+	// One occupied chunk holds at most min(chunk, k) stored values: sizing
+	// the scratch by chunk alone would let a header declaring a huge chunk
+	// over a tiny n force an arbitrarily large allocation.
+	vals := make([]float64, 0, min(d.chunk, len(idx)))
 	for i := 0; i < len(idx); {
 		c := int(idx[i]) / d.chunk
 		j := i + 1

@@ -1,9 +1,7 @@
 package fedprophet
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -48,20 +46,10 @@ func TestEdgeAggregatorPublicSurface(t *testing.T) {
 		for i := range params {
 			params[i] = init[i] + float64(id+1)/256
 		}
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(fldist.Update{
+		if _, err := fldist.PushUpdate(ctx, http.DefaultClient, ets.URL+"/plant-7", fldist.Update{
 			ClientID: id, Round: 0, Weight: 1, Params: params,
 		}); err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.Post(ets.URL+"/plant-7/update", "application/octet-stream",
-			bytes.NewReader(buf.Bytes()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("cohort push via tenant path: status %d", resp.StatusCode)
+			t.Fatalf("cohort push via tenant path: %v", err)
 		}
 	}
 

@@ -1,12 +1,9 @@
 package fedprophet_test
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"math"
-	"net/http"
 	"net/http/httptest"
 	"testing"
 	"time"
@@ -344,25 +341,16 @@ func TestParamServerBufferedAggregation(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	push := func(id, round int) int {
-		t.Helper()
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(fldist.Update{
+	push := func(id, round int) error {
+		_, err := fldist.PushUpdate(context.Background(), ts.Client(), ts.URL, fldist.Update{
 			ClientID: id, Round: round, Weight: 1,
 			Params: []float64{0.1, 0.1, 0.1, 0.1, 0.1},
-		}); err != nil {
-			t.Fatal(err)
-		}
-		resp, err := ts.Client().Post(ts.URL+"/update", "application/octet-stream", &buf)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		return resp.StatusCode
+		})
+		return err
 	}
 
-	if st := push(0, 0); st != http.StatusOK {
-		t.Fatalf("first push: status %d", st)
+	if err := push(0, 0); err != nil {
+		t.Fatalf("first push: %v", err)
 	}
 	if srv.Round() != 0 {
 		t.Fatal("round advanced before the buffer filled")
@@ -370,15 +358,15 @@ func TestParamServerBufferedAggregation(t *testing.T) {
 	// The second update is one round stale relative to nothing yet — same
 	// base round 0 — and fills the buffer: the commit happens with no
 	// quorum barrier.
-	if st := push(1, 0); st != http.StatusOK {
-		t.Fatalf("second push: status %d", st)
+	if err := push(1, 0); err != nil {
+		t.Fatalf("second push: %v", err)
 	}
 	if srv.Round() != 1 {
 		t.Fatalf("round = %d after the buffer filled, want 1", srv.Round())
 	}
 	// A base-round-0 push is still inside the staleness window of 1.
-	if st := push(2, 0); st != http.StatusOK {
-		t.Fatalf("stale-but-in-window push: status %d", st)
+	if err := push(2, 0); err != nil {
+		t.Fatalf("stale-but-in-window push: %v", err)
 	}
 
 	stats := srv.Stats()

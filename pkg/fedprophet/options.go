@@ -142,7 +142,7 @@ func WithWireDeltaPull() Option { return func(c *runConfig) { c.wireDelta = true
 
 // WireCompression resolves the wire-facing options to the codec a real
 // fleet passes to fldist.Client.Compression (what cmd/fldist builds from
-// -bits/-chunk/-topk/-delta-pull). nil with no error means the raw gob
+// -bits/-chunk/-topk/-delta-pull). nil with no error means the raw-frame
 // protocol (no compression configured).
 func WireCompression(opts ...Option) (*fldist.Compression, error) {
 	cfg := defaultConfig()

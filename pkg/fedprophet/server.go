@@ -10,7 +10,7 @@ import (
 
 // The distributed deployment surface: a real HTTP parameter server for
 // fleets that federate over the network instead of in-process. The server
-// speaks the wire protocol of docs/WIRE.md (raw gob and compressed
+// speaks the wire protocol of docs/WIRE.md (raw float64 frames and compressed
 // error-fed deltas, negotiated per client) and aggregates under
 // parameter-range sharding — concurrent pushes decode and admit in
 // parallel, a stats poll never blocks aggregation, and the aggregate is
